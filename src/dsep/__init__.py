@@ -46,6 +46,7 @@ from .errors import (
     NonAdjacentPair,
     OracleScaleExceeded,
     SelfLoop,
+    TableMismatch,
     UnknownEndpoint,
 )
 from .generators import chain_dag, corpus_dag, random_dag, random_sparse_dag, star_dag
@@ -100,6 +101,7 @@ __all__ = [
     "ReachabilityResult",
     "SelfLoop",
     "SeparationQuery",
+    "TableMismatch",
     "Theorem2Report",
     "Trail",
     "UnknownEndpoint",

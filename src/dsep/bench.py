@@ -12,16 +12,15 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dag import Dag, descendant_table, doubled_graph
+from .dag import Dag
 from .engine import (
     IndependenceStatement,
     SeparationQuery,
-    _legality,
+    _faithful_sweep,
     fast_sweep,
 )
 from .generators import chain_dag, random_sparse_dag, star_dag
 from .moral import _bfs_separated, moralize
-from .reachability import find_reachable
 
 FAMILIES = ("chain", "star", "random")
 DEFAULT_SEED = 1234
@@ -107,13 +106,7 @@ def _run_fast(dag: Dag, query: SeparationQuery, repeats: int):
 
 
 def _run_faithful(dag: Dag, query: SeparationQuery, repeats: int):
-    def run():
-        table = descendant_table(dag, query.conditioning)
-        graph = doubled_graph(dag)
-        legal = _legality(dag, table.flags, query.conditioning)
-        return find_reachable(graph, legal, query.sources)
-
-    seconds, swept = _best_of(repeats, run)
+    seconds, swept = _best_of(repeats, lambda: _faithful_sweep(dag, query))
     size = dag.node_count - len(swept.reached | query.sources
                                 | query.conditioning)
     labeled = sum(1 for lv in swept.link_levels if lv is not None)

@@ -155,12 +155,12 @@ def build_dag(node_names: Sequence[str],
 
 
 def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:
-    """Freeze `nodes` into a set after validating membership in `dag`."""
+    """Freeze `nodes` into a set after checking each is a plain int id of `dag`."""
     members = frozenset(nodes)
+    n = dag.node_count
     for v in members:
-        if not (0 <= v < dag.node_count):
-            raise ForeignNode(
-                f"node {v} is not in the graph (node_count={dag.node_count})")
+        if type(v) is not int or not (0 <= v < n):
+            raise ForeignNode(f"node {v!r} is not in the graph (node_count={n})")
     return members
 
 

@@ -18,7 +18,7 @@ exhaustive trail oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .dag import Dag, DescendantTable, NodeSet, checked_nodes, descendant_table, doubled_graph
@@ -28,8 +28,9 @@ from .errors import (
     ForeignNode,
     MalformedTrail,
     NonAdjacentPair,
+    TableMismatch,
 )
-from .reachability import find_reachable
+from .reachability import ReachabilityResult, find_reachable
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,13 @@ def dsep_legal_pair(dag: Dag, table: DescendantTable,
                     first: int, second: int) -> bool:
     """Public form of the consecutive-link rule for two doubled-graph links.
 
-    `table` must have been built for the same conditioning set.  Raises
-    NonAdjacentPair when the head of `first` is not the tail of `second`.
+    Raises TableMismatch unless `table` was built on `dag` for `conditioning`,
+    and NonAdjacentPair when the head of `first` is not the tail of `second`.
     """
     cond = checked_nodes(dag, conditioning)
+    if table.conditioning_set != cond or len(table.flags) != dag.node_count:
+        raise TableMismatch(
+            "descendant table was built for another graph or conditioning set")
     limit = 2 * len(dag.edges)
     for lid in (first, second):
         if not (0 <= lid < limit):
@@ -194,27 +198,36 @@ def dsep_legal_pair(dag: Dag, table: DescendantTable,
     return _legality(dag, table.flags, cond)(first, second)
 
 
+def _faithful_sweep(dag: Dag, query: SeparationQuery,
+                    stop_at: Iterable[int] | None = None) -> ReachabilityResult:
+    """Descendant table, doubled graph, then the rule-constrained sweep."""
+    sources = checked_nodes(dag, query.sources)
+    table = descendant_table(dag, query.conditioning)
+    legal = _legality(dag, table.flags, table.conditioning_set)
+    return find_reachable(doubled_graph(dag), legal, sources, stop_at=stop_at)
+
+
 def dsep_set(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Every node separated from the query sources given its conditioning set.
 
-    Faithful composition: descendant table, doubled graph, constrained
-    breadth-first sweep, then the complement of the reached set.
+    The complement of what the faithful composition reaches.
     """
-    sources = checked_nodes(dag, query.sources)
-    cond = checked_nodes(dag, query.conditioning)
-    table = descendant_table(dag, cond)
-    graph = doubled_graph(dag)
-    legal = _legality(dag, table.flags, cond)
-    swept = find_reachable(graph, legal, sources)
-    return frozenset(range(dag.node_count)) - swept.reached - sources - cond
+    swept = _faithful_sweep(dag, query)
+    return (frozenset(range(dag.node_count)) - swept.reached
+            - query.sources - query.conditioning)
 
 
 @dataclass(frozen=True)
 class FastSweep:
-    """Reached set of the linear-time sweep plus its link-operation count."""
+    """Reached set of the linear-time sweep plus its link-operation count.
+
+    `parents_expanded[v]` is 1 when the sweep walked v's parent list, the
+    requisite-table mark (see `requisite`); partial after an early stop.
+    """
 
     reached: frozenset[int]
     links_examined: int
+    parents_expanded: bytearray = field(compare=False, repr=False)
 
 
 def fast_sweep(dag: Dag, query: SeparationQuery,
@@ -225,9 +238,10 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     points into v, the sweep walks v's children when v is unconditioned
     and v's parents when v is or has a descendant in the conditioning
     set (the collider opening).  Arriving along an arrow pointing out of
-    v, it walks both lists when v is unconditioned.  Each adjacency list
-    of each node is expanded at most once, so `links_examined` is
-    bounded by twice the edge count plus the seed scans.
+    v, it walks both lists when v is unconditioned.  Sources start in
+    that second state, since a trail's first hop may go either way.
+    Each adjacency list of each node is expanded at most once, so
+    `links_examined` is bounded by twice the edge count.
     """
     sources = checked_nodes(dag, query.sources)
     cond = query.conditioning
@@ -247,57 +261,39 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     queue: deque[tuple[int, bool]] = deque()
 
     if stop & sources:
-        return FastSweep(frozenset(reached), ops)
+        return FastSweep(frozenset(reached), ops, in_done)
 
-    def take(v: int, into: bool) -> bool:
-        """Record arrival at v; returns True when v is a stop node."""
-        reached.add(v)
-        if into:
-            if not seen_into[v]:
-                seen_into[v] = 1
-                queue.append((v, True))
-        elif not seen_outof[v]:
-            seen_outof[v] = 1
-            queue.append((v, False))
-        return v in stop
-
-    # First hops out of a source are unconditional, which is the same as
-    # expanding both of its lists up front.
     for j in sorted(sources):
-        out_done[j] = in_done[j] = 1
         seen_into[j] = seen_outof[j] = 1
-        for c in children[j]:
-            ops += 1
-            if take(c, True):
-                return FastSweep(frozenset(reached), ops)
-        for p in parents[j]:
-            ops += 1
-            if take(p, False):
-                return FastSweep(frozenset(reached), ops)
+        queue.append((j, False))
 
     while queue:
         v, into = queue.popleft()
-        if into:
-            expand_out = v not in cond and not out_done[v]
-            expand_in = flags[v] and not in_done[v]
-        else:
-            unconditioned = v not in cond
-            expand_out = unconditioned and not out_done[v]
-            expand_in = unconditioned and not in_done[v]
+        unconditioned = v not in cond
+        expand_out = unconditioned and not out_done[v]
+        expand_in = (flags[v] if into else unconditioned) and not in_done[v]
         if expand_out:
             out_done[v] = 1
-            for c in children[v]:
+            for c in children[v]:   # arrives at c along an arrow into c
                 ops += 1
-                if take(c, True):
-                    return FastSweep(frozenset(reached), ops)
+                reached.add(c)
+                if not seen_into[c]:
+                    seen_into[c] = 1
+                    queue.append((c, True))
+                if c in stop:
+                    return FastSweep(frozenset(reached), ops, in_done)
         if expand_in:
             in_done[v] = 1
-            for p in parents[v]:
+            for p in parents[v]:    # arrives at p along an arrow out of p
                 ops += 1
-                if take(p, False):
-                    return FastSweep(frozenset(reached), ops)
+                reached.add(p)
+                if not seen_outof[p]:
+                    seen_outof[p] = 1
+                    queue.append((p, False))
+                if p in stop:
+                    return FastSweep(frozenset(reached), ops, in_done)
 
-    return FastSweep(frozenset(reached), ops)
+    return FastSweep(frozenset(reached), ops, in_done)
 
 
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
@@ -321,12 +317,7 @@ def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
     if method == "fast":
         reached = fast_sweep(dag, query, stop_at=stop).reached
     elif method == "faithful":
-        sources = checked_nodes(dag, query.sources)
-        cond = checked_nodes(dag, query.conditioning)
-        table = descendant_table(dag, cond)
-        legal = _legality(dag, table.flags, cond)
-        reached = find_reachable(doubled_graph(dag), legal, sources,
-                                 stop_at=stop).reached
+        reached = _faithful_sweep(dag, query, stop_at=stop).reached
     else:
         raise ValueError(f"unknown method {method!r}")
     return not (reached & targets)

@@ -1,17 +1,24 @@
 """Which stored tables and which observations can matter for a query.
 
-Each node gets a dummy parent standing for the parameters of its
-conditional table.  Dummies that stay d-connected to the query sources
-mark requisite tables; ordinary nodes that stay d-connected mark
-observations that could still change the answer.
+Give every node v a dummy parent v' for the parameters of its table.
+The table is requisite when v' is d-connected to the query sources, and
+v is a relevant observation when v itself is.  A trail reaches v' only
+through v, and goes on to v' exactly when the sweep of the base dag
+walks v's parent list: v is a source, or the trail arrives into v while
+v is or has a descendant in the conditioning set, or it arrives from a
+child of v while v is unconditioned.  Reaching v' opens no new state of
+the base dag.  This is the "top mark" of Shachter's Bayes-Ball (UAI
+1998), so each answer takes one linear sweep of the base dag.
+`augment_dummies` still builds the augmented dag, as the tests' referee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .dag import Dag, NodeSet, checked_nodes
-from .engine import SeparationQuery, dsep_set_fast
+from .dag import Dag, NodeSet
+from .engine import SeparationQuery, dsep_set_fast, fast_sweep
 
 
 @dataclass(frozen=True)
@@ -45,15 +52,11 @@ def augment_dummies(dag: Dag) -> AugmentedDag:
 def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Base nodes whose conditional tables the query answer can depend on.
 
-    Computed as the dummies still d-connected to the sources in the
-    augmented dag, reported by their base node ids.
+    The nodes whose parent list one sweep of `dag` walks: the same set as
+    the dummies of `augment_dummies(dag)` left d-connected to the sources.
     """
-    checked_nodes(dag, query.sources | query.conditioning)
-    aug = augment_dummies(dag)
-    separated = dsep_set_fast(aug.graph, SeparationQuery(query.sources,
-                                                         query.conditioning))
-    n = dag.node_count
-    return frozenset(v for v in range(n) if (n + v) not in separated)
+    marks = fast_sweep(dag, query).parents_expanded
+    return frozenset(compress(range(dag.node_count), marks))
 
 
 def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:

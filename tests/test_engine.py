@@ -15,7 +15,9 @@ from dsep import (
     MalformedTrail,
     NonAdjacentPair,
     SeparationQuery,
+    TableMismatch,
     Trail,
+    chain_dag,
     descendant_table,
     dsep_legal_pair,
     dsep_set,
@@ -23,6 +25,7 @@ from dsep import (
     fast_sweep,
     is_active_trail,
     is_dseparated,
+    requisite_parameters,
     star_dag,
 )
 
@@ -167,6 +170,23 @@ class TestLegalPair:
         with pytest.raises(NonAdjacentPair):
             dsep_legal_pair(web7, table, frozenset(), 0, 99)
 
+    def test_table_for_another_conditioning_set_rejected(self):
+        dag = Dag(3, [(0, 2), (1, 2)])
+        observed = frozenset({2})
+        # Link 0 runs 0 -> 2 and link 3 runs 2 -> 1 against edge (1, 2):
+        # a collider at 2, open because 2 is observed.
+        assert dsep_legal_pair(dag, descendant_table(dag, observed),
+                               observed, 0, 3)
+        with pytest.raises(TableMismatch):
+            dsep_legal_pair(dag, descendant_table(dag, frozenset()),
+                            observed, 0, 3)
+
+    def test_table_for_another_graph_rejected(self, web7):
+        table = descendant_table(Dag(3, [(0, 2), (1, 2)]), frozenset())
+        with pytest.raises(TableMismatch):
+            dsep_legal_pair(web7, table, frozenset(),
+                            _link("n4", "n5"), _link("n5", "n6"))
+
     def test_matches_independent_reimplementation(self, web7, ids):
         """Cross-check the link rule against a from-scratch restatement."""
 
@@ -277,6 +297,13 @@ class TestSeparationSets:
         assert dsep_set_fast(dag, query) == (
             frozenset(everything) - sweep.reached - conditioning)
 
+    def test_fast_sweep_expands_sources_first_in_id_order(self):
+        dag = chain_dag(4)  # 0 -> 1 -> 2 -> 3 -> 4
+        swept = fast_sweep(dag, SeparationQuery({2, 0}), stop_at={1})
+        # Source 0's child list comes first, and its one link hits the stop.
+        assert swept.links_examined == 1
+        assert swept.reached == {0, 1, 2}
+
 
 class TestIsDseparated:
     def test_web7_statements(self, web7, ids):
@@ -319,3 +346,30 @@ class TestIsDseparated:
             is_dseparated(dag, statement, method=method, early_stop=early)
             for method in ("fast", "faithful") for early in (True, False)}
         assert len(verdicts) == 1
+
+
+class TestNonIntegerIds:
+    """Ids that compare or hash like ints are still foreign nodes."""
+
+    # Valid ids stay clear of 0 and 1, which the bad ids compare equal to.
+    DAG = Dag(5, [(0, 2), (2, 4), (3, 4), (1, 3)])
+    BAD = [0.0, "0", True, None]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("role", ["sources", "conditioning", "targets"])
+    @pytest.mark.parametrize("method", ["fast", "faithful"])
+    def test_is_dseparated(self, bad, role, method):
+        sets = {"sources": {2}, "conditioning": {4}, "targets": {3}}
+        sets[role] = {bad}
+        with pytest.raises(ForeignNode):
+            is_dseparated(self.DAG, IndependenceStatement(**sets),
+                          method=method)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("role", ["sources", "conditioning"])
+    @pytest.mark.parametrize("engine", [dsep_set_fast, requisite_parameters])
+    def test_set_queries(self, bad, role, engine):
+        query = (SeparationQuery({bad}, {4}) if role == "sources"
+                 else SeparationQuery({2}, {bad}))
+        with pytest.raises(ForeignNode):
+            engine(self.DAG, query)

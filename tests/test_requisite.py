@@ -2,18 +2,42 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 
 from dsep import (
+    Dag,
     SeparationQuery,
     augment_dummies,
     build_dag,
     dsep_bruteforce,
+    dsep_set_fast,
+    random_dag,
+    random_sparse_dag,
     relevant_variables,
     requisite_parameters,
 )
 
 from .conftest import dags_with_query
+
+
+def requisite_by_augmentation(dag: Dag, query: SeparationQuery):
+    """Referee: dummies left d-connected on the explicitly augmented dag."""
+    aug = augment_dummies(dag)
+    separated = dsep_set_fast(aug.graph, query)
+    return frozenset(v for v in range(dag.node_count)
+                     if aug.dummy_of[v] not in separated)
+
+
+def random_query(rng: random.Random, dag: Dag, max_conditioning: int):
+    nodes = rng.sample(range(dag.node_count),
+                       min(dag.node_count, 3 + max_conditioning))
+    sources = nodes[:rng.randint(1, min(3, len(nodes)))]
+    rest = nodes[len(sources):]
+    conditioning = rest[:rng.randint(0, min(max_conditioning, len(rest)))]
+    return SeparationQuery(frozenset(sources), frozenset(conditioning))
 
 
 class TestAugmentation:
@@ -89,3 +113,31 @@ class TestRequisiteParameters:
         separated = dsep_bruteforce(dag, query)
         assert relevant == (frozenset(range(dag.node_count))
                             - separated - sources - conditioning)
+
+
+class TestOneSweepAgainstAugmentedGraph:
+    """The one-sweep rule against the augmented-graph definition, at scale."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_dags(self, seed):
+        rng = random.Random(seed)
+        node_count = rng.randint(20, 300)
+        dag = random_dag(rng, node_count,
+                         edge_prob=rng.uniform(1.0, 6.0) / node_count)
+        if seed % 2:
+            dag = Dag(node_count, dag.edges,
+                      names=[f"x{v}" for v in range(node_count)])
+        for max_conditioning in (0, 3, 30):
+            query = random_query(rng, dag, max_conditioning)
+            got = requisite_parameters(dag, query)
+            assert got >= query.sources
+            assert got == requisite_by_augmentation(dag, query)
+
+    @pytest.mark.parametrize("conditioning_size", [0, 1, 20, 400])
+    def test_sparse_dag_with_ten_thousand_edges(self, conditioning_size):
+        dag = random_sparse_dag(10_000, seed=7)
+        rng = random.Random(conditioning_size)
+        query = random_query(rng, dag, conditioning_size)
+        got = requisite_parameters(dag, query)
+        assert got >= query.sources
+        assert got == requisite_by_augmentation(dag, query)
