@@ -38,10 +38,14 @@ def _format_nodes(dag: Dag, nodes: frozenset[int], suffix: str = "") -> str:
     return " ".join(dag.node_name(v) + suffix for v in sorted(nodes))
 
 
-def _add_graph_arg(parser: argparse.ArgumentParser) -> None:
+def _add_query_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("graph", help="path to a graph document")
     parser.add_argument("--json", action="store_true",
                         help="read the graph as JSON instead of text")
+    parser.add_argument("--j", required=True,
+                        help="source node names, comma separated")
+    parser.add_argument("--l", default="",
+                        help="conditioning node names, comma separated")
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -149,20 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dsep", help="print every node separated from --j "
                                     "given --l")
-    _add_graph_arg(p)
-    p.add_argument("--j", required=True,
-                   help="source node names, comma separated")
-    p.add_argument("--l", default="",
-                   help="conditioning node names, comma separated")
+    _add_query_args(p)
     _add_engine_args(p)
     p.set_defaults(func=_cmd_dsep)
 
     p = sub.add_parser("check", help="verify one separation statement")
-    _add_graph_arg(p)
-    p.add_argument("--j", required=True,
-                   help="source node names, comma separated")
-    p.add_argument("--l", default="",
-                   help="conditioning node names, comma separated")
+    _add_query_args(p)
     p.add_argument("--k", required=True,
                    help="target node names, comma separated")
     _add_engine_args(p)
@@ -171,11 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("requisite",
                        help="requisite tables and relevant observations "
                             "for a query")
-    _add_graph_arg(p)
-    p.add_argument("--j", required=True,
-                   help="source node names, comma separated")
-    p.add_argument("--l", default="",
-                   help="conditioning node names, comma separated")
+    _add_query_args(p)
     p.set_defaults(func=_cmd_requisite)
 
     p = sub.add_parser("verify",

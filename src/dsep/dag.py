@@ -7,9 +7,9 @@ algorithmic works on the integer ids.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
 from .errors import (
     CycleDetected,
@@ -51,26 +51,27 @@ class Dag:
             if len(self._name_to_id) != node_count:
                 raise ValueError("node names must be unique")
 
-        seen: set[tuple[int, int]] = set()
         pairs: list[tuple[int, int]] = []
         parents: list[list[int]] = [[] for _ in range(node_count)]
         children: list[list[int]] = [[] for _ in range(node_count)]
         for tail, head in edges:
-            if not (0 <= tail < node_count and 0 <= head < node_count):
+            if not (type(tail) is int is type(head)
+                    and 0 <= tail < node_count and 0 <= head < node_count):
                 raise UnknownEndpoint(
-                    f"edge ({tail}, {head}) leaves the node range "
+                    f"edge ({tail!r}, {head!r}) needs int endpoints in "
                     f"0..{node_count - 1}")
             if tail == head:
                 raise SelfLoop(f"self-loop on node {self.node_name(tail)}")
-            pair = (tail, head)
-            if pair in seen:
-                raise DuplicateEdge(
-                    f"duplicate edge {self.node_name(tail)} -> "
-                    f"{self.node_name(head)}")
-            seen.add(pair)
-            pairs.append(pair)
+            pairs.append((tail, head))
             children[tail].append(head)
             parents[head].append(tail)
+        # One bulk set build is cheaper than a membership test per edge.
+        seen = set(pairs)
+        if len(seen) != len(pairs):
+            tail, head = next(e for e, k in Counter(pairs).items() if k > 1)
+            raise DuplicateEdge(
+                f"duplicate edge {self.node_name(tail)} -> "
+                f"{self.node_name(head)}")
 
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self.parents: tuple[tuple[int, ...], ...] = tuple(
@@ -139,18 +140,11 @@ def build_dag(node_names: Sequence[str],
               edges: Iterable[tuple[str, str]]) -> Dag:
     """Assemble a Dag from external node names and name-pair edges."""
     names = list(node_names)
-    index: dict[str, int] = {}
-    for nm in names:
-        if nm in index:
-            raise ValueError(f"duplicate node name {nm!r}")
-        index[nm] = len(index)
-    pairs = []
-    for tail, head in edges:
-        if tail not in index:
-            raise UnknownEndpoint(f"unknown edge endpoint {tail!r}")
-        if head not in index:
-            raise UnknownEndpoint(f"unknown edge endpoint {head!r}")
-        pairs.append((index[tail], index[head]))
+    index = {nm: i for i, nm in enumerate(names)}   # Dag rejects duplicates
+    try:
+        pairs = [(index[tail], index[head]) for tail, head in edges]
+    except KeyError as exc:
+        raise UnknownEndpoint(f"unknown edge endpoint {exc.args[0]!r}") from None
     return Dag(len(names), pairs, names=names)
 
 
@@ -175,41 +169,40 @@ class DescendantTable:
     conditioning_set: NodeSet
 
 
-def descendant_table(dag: Dag, conditioning: Iterable[int]) -> DescendantTable:
-    """Mark every node that is in `conditioning` or has a descendant there.
+def mark_ancestors(dag: Dag, members: Iterable[int],
+                   marks: MutableSequence[int], bit: int = 1) -> list[int]:
+    """Set `bit` in `marks` on valid ids `members` and all their ancestors.
 
-    A single reverse breadth-first sweep from the conditioning set along
-    parent links; each edge is looked at most once.
+    One reverse breadth-first walk that stops at nodes already holding
+    any bit of `bit`; returns the nodes it marked.  `marks` is a bytearray
+    or, with `bit=True`, a list of bools (cheaper on small graphs).
     """
+    parents = dag.parents
+    found = []
+    for v in members:
+        if not marks[v] & bit:
+            marks[v] |= bit
+            found.append(v)
+    for v in found:     # the list grows while it is walked: a FIFO queue
+        for p in parents[v]:
+            if not marks[p] & bit:
+                marks[p] |= bit
+                found.append(p)
+    return found
+
+
+def descendant_table(dag: Dag, conditioning: Iterable[int]) -> DescendantTable:
+    """Mark every node that is in `conditioning` or has a descendant there."""
     members = checked_nodes(dag, conditioning)
     flags = [False] * dag.node_count
-    queue = deque()
-    for v in members:
-        flags[v] = True
-        queue.append(v)
-    parents = dag.parents
-    while queue:
-        v = queue.popleft()
-        for p in parents[v]:
-            if not flags[p]:
-                flags[p] = True
-                queue.append(p)
+    mark_ancestors(dag, members, flags, True)
     return DescendantTable(flags=tuple(flags), conditioning_set=members)
 
 
 def ancestral_set(dag: Dag, members: Iterable[int]) -> NodeSet:
     """All nodes with a directed path into `members`, plus `members` itself."""
     wanted = checked_nodes(dag, members)
-    seen = set(wanted)
-    queue = deque(wanted)
-    parents = dag.parents
-    while queue:
-        v = queue.popleft()
-        for p in parents[v]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
+    return frozenset(mark_ancestors(dag, wanted, [False] * dag.node_count, True))
 
 
 class DoubledGraph:

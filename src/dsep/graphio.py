@@ -27,7 +27,7 @@ _EDGE_LINE = re.compile(r"^\s*(\S+)\s*->\s*(\S+)\s*$")
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-def _check_name(name: str, line: int, column: int) -> None:
+def _check_name(name: str, line: int | None, column: int | None) -> None:
     if "'" in name:
         raise GraphSyntaxError(
             f"node name {name!r} uses the prime character, which is "
@@ -130,19 +130,9 @@ def parse_graph_json(text: str) -> Dag:
             raise GraphSyntaxError('"nodes" must be a list of strings')
         names = list(raw_nodes)
     else:
-        names = []
-        seen: set[str] = set()
-        for tail, head in edges:
-            for name in (tail, head):
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
+        names = list(dict.fromkeys(name for edge in edges for name in edge))
     for name in names:
-        if "'" in name:
-            raise GraphSyntaxError(
-                f"node name {name!r} uses the reserved prime character")
-        if not _NAME.match(name):
-            raise GraphSyntaxError(f"invalid node name {name!r}")
+        _check_name(name, None, None)
     return build_dag(names, edges)
 
 

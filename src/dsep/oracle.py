@@ -132,11 +132,11 @@ class DiscreteNetwork:
                     f"table for node {v} has rows not summing to 1")
 
 
-def _joint_size(arities: Sequence[int]) -> int:
-    size = 1
-    for a in arities:
-        size *= a
-    return size
+def _check_joint_size(arities: Sequence[int]) -> None:
+    size = math.prod(arities)
+    if size > JOINT_SIZE_LIMIT:
+        raise OracleScaleExceeded(f"joint table would have {size} entries, "
+                                  f"limit is {JOINT_SIZE_LIMIT}")
 
 
 def random_network(dag: Dag, arity: int, seed: int) -> DiscreteNetwork:
@@ -148,10 +148,7 @@ def random_network(dag: Dag, arity: int, seed: int) -> DiscreteNetwork:
     if arity < 2:
         raise ValueError("arity must be at least 2")
     arities = (arity,) * dag.node_count
-    if _joint_size(arities) > JOINT_SIZE_LIMIT:
-        raise OracleScaleExceeded(
-            f"joint table would have {_joint_size(arities)} entries, "
-            f"limit is {JOINT_SIZE_LIMIT}")
+    _check_joint_size(arities)
     rng = np.random.default_rng(seed)
     cpts = []
     for v in range(dag.node_count):
@@ -186,10 +183,7 @@ class JointTable:
 def joint(network: DiscreteNetwork) -> JointTable:
     """Multiply every conditional table out into the full joint."""
     arities = network.arities
-    if _joint_size(arities) > JOINT_SIZE_LIMIT:
-        raise OracleScaleExceeded(
-            f"joint table would have {_joint_size(arities)} entries, "
-            f"limit is {JOINT_SIZE_LIMIT}")
+    _check_joint_size(arities)
     n = network.dag.node_count
     probs = np.ones(arities, dtype=np.float64)
     for v in range(n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .dag import Dag, NodeSet
-from .engine import SeparationQuery, dsep_set_fast, fast_sweep
+from .engine import SeparationQuery, fast_sweep
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,10 @@ def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
 
     The nodes whose parent list one sweep of `dag` walks: the same set as
     the dummies of `augment_dummies(dag)` left d-connected to the sources.
+    Each walked list belongs to a node of An(sources | conditioning), so
+    the sweep is confined to that set (an empty stop set).
     """
-    marks = fast_sweep(dag, query).parents_expanded
+    marks = fast_sweep(dag, query, stop_at=()).parents_expanded
     return frozenset(compress(range(dag.node_count), marks))
 
 
@@ -65,6 +67,4 @@ def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:
     The complement of the separated set, minus the sources and the
     conditioning set themselves.
     """
-    separated = dsep_set_fast(dag, query)
-    return (frozenset(range(dag.node_count)) - separated
-            - query.sources - query.conditioning)
+    return fast_sweep(dag, query).reached - query.sources - query.conditioning

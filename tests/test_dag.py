@@ -46,6 +46,12 @@ class TestDagConstruction:
         with pytest.raises(UnknownEndpoint):
             Dag(3, [(-1, 2)])
 
+    @pytest.mark.parametrize("edge", [(True, 2), (0, True), (0.0, 1),
+                                      (0, 1.0), ("0", 1), (None, 1)])
+    def test_non_int_endpoint_rejected(self, edge):
+        with pytest.raises(UnknownEndpoint):
+            Dag(3, [edge])
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
             Dag(2, [(1, 1)])
@@ -53,6 +59,8 @@ class TestDagConstruction:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdge):
             Dag(3, [(0, 1), (1, 2), (0, 1)])
+        with pytest.raises(DuplicateEdge, match="1 -> 2"):
+            Dag(3, [(0, 1), (1, 2), (0, 2), (1, 2)])
 
     def test_two_cycle_rejected_with_witness(self):
         with pytest.raises(CycleDetected) as info:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from dsep import (
     SeparationQuery,
     TableMismatch,
     Trail,
+    ancestral_set,
     chain_dag,
     descendant_table,
     dsep_legal_pair,
@@ -25,11 +28,40 @@ from dsep import (
     fast_sweep,
     is_active_trail,
     is_dseparated,
+    random_dag,
     requisite_parameters,
     star_dag,
 )
 
 from .conftest import dags_with_query
+
+
+@st.composite
+def statements_on_larger_dags(draw: st.DrawFn, max_nodes: int = 200):
+    """A seeded random dag of up to `max_nodes` nodes plus a valid statement."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    node_count = draw(st.integers(min_value=2, max_value=max_nodes))
+    degree = draw(st.floats(min_value=0.5, max_value=4.0))
+    dag = random_dag(rng, node_count, edge_prob=min(1.0, degree / node_count))
+    nodes = rng.sample(range(node_count), node_count)
+    n_src = draw(st.integers(1, min(3, node_count - 1)))
+    n_tgt = draw(st.integers(1, min(3, node_count - n_src)))
+    n_cond = draw(st.integers(0, min(12, node_count - n_src - n_tgt)))
+    statement = IndependenceStatement(
+        nodes[:n_src], nodes[n_src + n_tgt:n_src + n_tgt + n_cond],
+        nodes[n_src:n_src + n_tgt])
+    return dag, statement
+
+
+@pytest.fixture(scope="module")
+def nx():
+    """networkx as an independent referee; its tests skip without it."""
+    return pytest.importorskip("networkx", minversion="3.3")
+
+
+def _incident_edges(dag: Dag, members) -> int:
+    anc = ancestral_set(dag, members)
+    return sum(1 for tail, head in dag.edges if tail in anc or head in anc)
 
 
 class TestQueryValidation:
@@ -346,6 +378,41 @@ class TestIsDseparated:
             is_dseparated(dag, statement, method=method, early_stop=early)
             for method in ("fast", "faithful") for early in (True, False)}
         assert len(verdicts) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=statements_on_larger_dags())
+    def test_confined_sweep_matches_referees_past_oracle_cap(self, nx, case):
+        dag, statement = case
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(dag.node_count))
+        graph.add_edges_from(dag.edges)
+        expected = nx.is_d_separator(graph, set(statement.sources),
+                                     set(statement.targets),
+                                     set(statement.conditioning))
+        assert is_dseparated(dag, statement) == expected
+        assert is_dseparated(dag, statement, early_stop=False) == expected
+        assert is_dseparated(dag, statement, method="faithful") == expected
+        swept = fast_sweep(dag, statement.query(), stop_at=statement.targets)
+        assert swept.links_examined <= 2 * _incident_edges(
+            dag, statement.sources | statement.targets | statement.conditioning)
+
+    def test_confined_sweep_skips_the_descendant_fan(self):
+        # 0 -> 2..41, each of those -> ten grandchildren, and the collider
+        # 0 -> 1002 <- 1 left unconditioned: no trail from 0 reaches 1.
+        edges = [(0, 2 + i) for i in range(40)]
+        edges += [(2 + i, 42 + 10 * i + j) for i in range(40) for j in range(10)]
+        edges += [(0, 1002), (1, 1002)]
+        dag = Dag(1003, edges)
+        statement = IndependenceStatement({0}, (), {1})
+        swept = fast_sweep(dag, statement.query(), stop_at={1})
+        assert 1 not in swept.reached
+        assert swept.links_examined <= 2 * _incident_edges(dag, {0, 1})
+        assert fast_sweep(dag, statement.query()).links_examined > 400
+        assert is_dseparated(dag, statement)
+
+    def test_foreign_stop_node_rejected(self, web7):
+        with pytest.raises(ForeignNode):
+            fast_sweep(web7, SeparationQuery({0}), stop_at={99})
 
 
 class TestNonIntegerIds:

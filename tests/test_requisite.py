@@ -14,6 +14,7 @@ from dsep import (
     build_dag,
     dsep_bruteforce,
     dsep_set_fast,
+    fast_sweep,
     random_dag,
     random_sparse_dag,
     relevant_variables,
@@ -132,6 +133,22 @@ class TestOneSweepAgainstAugmentedGraph:
             got = requisite_parameters(dag, query)
             assert got >= query.sources
             assert got == requisite_by_augmentation(dag, query)
+            # The confined sweep walks exactly the unconfined parent lists.
+            assert (fast_sweep(dag, query, stop_at=()).parents_expanded
+                    == fast_sweep(dag, query).parents_expanded)
+
+    @pytest.mark.parametrize("observed_leaf", [False, True])
+    def test_descendant_fan_outside_the_ancestral_set(self, observed_leaf):
+        # Source 0 above a 400-node fan; 1 -> 1001 <- 0 is a collider that
+        # is open only when its leaf 1002 is observed.
+        edges = [(0, 2 + i) for i in range(40)]
+        edges += [(2 + i, 42 + 10 * i + j) for i in range(40) for j in range(10)]
+        edges += [(0, 1001), (1, 1001), (1001, 1002), (1000, 1)]
+        dag = Dag(1003, edges)
+        query = SeparationQuery({0}, {1002} if observed_leaf else ())
+        got = requisite_parameters(dag, query)
+        assert got == requisite_by_augmentation(dag, query)
+        assert (1 in got) == observed_leaf
 
     @pytest.mark.parametrize("conditioning_size", [0, 1, 20, 400])
     def test_sparse_dag_with_ten_thousand_edges(self, conditioning_size):
