@@ -7,7 +7,7 @@ algorithmic works on the integer ids.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, MutableSequence, Sequence
 
@@ -31,7 +31,7 @@ class Dag:
     """
 
     __slots__ = ("node_count", "edges", "parents", "children", "names",
-                 "_name_to_id", "_edge_set")
+                 "_name_to_id")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None) -> None:
@@ -47,14 +47,14 @@ class Dag:
             if len(self.names) != node_count:
                 raise ValueError(
                     f"got {len(self.names)} names for {node_count} nodes")
-            self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
+            self._name_to_id = dict(zip(self.names, range(node_count)))
             if len(self._name_to_id) != node_count:
                 raise ValueError("node names must be unique")
 
-        pairs: list[tuple[int, int]] = []
+        pairs = list(map(tuple, edges))
         parents: list[list[int]] = [[] for _ in range(node_count)]
         children: list[list[int]] = [[] for _ in range(node_count)]
-        for tail, head in edges:
+        for tail, head in pairs:
             if not (type(tail) is int is type(head)
                     and 0 <= tail < node_count and 0 <= head < node_count):
                 raise UnknownEndpoint(
@@ -62,23 +62,18 @@ class Dag:
                     f"0..{node_count - 1}")
             if tail == head:
                 raise SelfLoop(f"self-loop on node {self.node_name(tail)}")
-            pairs.append((tail, head))
             children[tail].append(head)
             parents[head].append(tail)
         # One bulk set build is cheaper than a membership test per edge.
-        seen = set(pairs)
-        if len(seen) != len(pairs):
+        if len(set(pairs)) != len(pairs):
             tail, head = next(e for e, k in Counter(pairs).items() if k > 1)
             raise DuplicateEdge(
                 f"duplicate edge {self.node_name(tail)} -> "
                 f"{self.node_name(head)}")
 
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
-        self.parents: tuple[tuple[int, ...], ...] = tuple(
-            tuple(p) for p in parents)
-        self.children: tuple[tuple[int, ...], ...] = tuple(
-            tuple(c) for c in children)
-        self._edge_set = seen
+        self.parents: tuple[tuple[int, ...], ...] = tuple(map(tuple, parents))
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
         self._check_acyclic()
 
     # -- name handling -------------------------------------------------
@@ -95,7 +90,8 @@ class Dag:
             raise ForeignNode(f"unknown node name {name!r}") from None
 
     def has_edge(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._edge_set
+        return (type(tail) is int is type(head)
+                and 0 <= tail < self.node_count and head in self.children[tail])
 
     def __repr__(self) -> str:
         return f"Dag(nodes={self.node_count}, edges={len(self.edges)})"
@@ -104,16 +100,13 @@ class Dag:
 
     def _check_acyclic(self) -> None:
         indegree = [len(p) for p in self.parents]
-        ready = deque(v for v in range(self.node_count) if indegree[v] == 0)
-        settled = 0
-        while ready:
-            v = ready.popleft()
-            settled += 1
+        ready = [v for v in range(self.node_count) if indegree[v] == 0]
+        for v in ready:     # the list grows while it is walked: a FIFO queue
             for c in self.children[v]:
                 indegree[c] -= 1
                 if indegree[c] == 0:
                     ready.append(c)
-        if settled != self.node_count:
+        if len(ready) != self.node_count:
             cycle = self._find_cycle(indegree)
             names = [self.node_name(v) for v in cycle]
             raise CycleDetected(
@@ -123,10 +116,9 @@ class Dag:
     def _find_cycle(self, indegree: list[int]) -> list[int]:
         # Every node still carrying in-degree has a parent that does too,
         # so walking parent pointers inside that set must close a loop.
-        start = min(v for v in range(self.node_count) if indegree[v] > 0)
+        v = min(v for v in range(self.node_count) if indegree[v] > 0)
         position: dict[int, int] = {}
         path: list[int] = []
-        v = start
         while v not in position:
             position[v] = len(path)
             path.append(v)

@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
+from typing import NoReturn
 
 from .dag import Dag, build_dag
-from .errors import CycleDetected, DuplicateEdge, GraphSyntaxError, SelfLoop
+from .errors import (CycleDetected, DsepError, DuplicateEdge, GraphSyntaxError,
+                     SelfLoop)
 
 _NODE_LINE = re.compile(r"^\s*node\s+(\S+)\s*$")
 _EDGE_LINE = re.compile(r"^\s*(\S+)\s*->\s*(\S+)\s*$")
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
+# Every sound line: node (group 1), edge (groups 2, 3), blank or comment
+# (no group).  The lookahead: `node ->b` is a node line named '->b'.
+_LINE = re.compile(r"\s*(?:node\s+([A-Za-z0-9_]+)|(?!node\s+->\S)"
+                   r"([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+))?\s*(?:#.*)?")
 
 
 def _check_name(name: str, line: int | None, column: int | None) -> None:
@@ -39,68 +46,70 @@ def _check_name(name: str, line: int | None, column: int | None) -> None:
 
 
 def parse_graph(text: str) -> Dag:
-    """Parse the text format into a Dag; errors carry line and column."""
-    names: list[str] = []
+    """Parse the text format into a Dag; errors carry line and column.
+
+    One pass: one pattern per line, each name's id assigned at first
+    sight.  A failed document is read again to word its first error.
+    """
+    lines = text.splitlines()
+    ids: dict[str, int] = {}
+    assign = ids.setdefault
+    pairs: list[tuple[int, int]] = []
     declared: set[str] = set()
-    known: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    for m in map(_LINE.fullmatch, lines):
+        if m is None:
+            _raise_first_error(lines, None)
+        node, tail, head = m.groups()
+        if tail is not None:
+            pairs.append((assign(tail, len(ids)), assign(head, len(ids))))
+        elif node is not None:
+            if node in declared:
+                _raise_first_error(lines, None)
+            declared.add(node)
+            assign(node, len(ids))
+    try:
+        return Dag(len(ids), pairs, names=list(ids))
+    except (CycleDetected, SelfLoop, DuplicateEdge) as exc:
+        error = exc
+    _raise_first_error(lines, error)
+
+
+def _raise_first_error(lines: list[str], error: DsepError | None) -> NoReturn:
+    """Raise the located error of the first bad line, else of the cycle
+    `Dag` raised as `error`: a document with sound lines fails only so."""
+    declared: set[str] = set()
     edge_lines: dict[tuple[str, str], int] = {}
-
-    def register(name: str) -> None:
-        if name not in known:
-            known.add(name)
-            names.append(name)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = _NODE_LINE.match(line)
-        if m:
-            name = m.group(1)
-            _check_name(name, lineno, m.start(1) + 1)
-            if name in declared:
-                raise GraphSyntaxError(
-                    f"node {name!r} declared twice",
-                    line=lineno, column=m.start(1) + 1)
-            declared.add(name)
-            register(name)
-            continue
-        m = _EDGE_LINE.match(line)
-        if m:
-            tail, head = m.group(1), m.group(2)
-            _check_name(tail, lineno, m.start(1) + 1)
-            _check_name(head, lineno, m.start(2) + 1)
+    for lineno, line in enumerate(lines, start=1):
+        m = _LINE.fullmatch(line)
+        if m is None:   # word the error with the per-shape patterns
+            line = line.split("#", 1)[0]
+            shape = _NODE_LINE.match(line) or _EDGE_LINE.match(line)
+            if shape:   # the shape fits, so one of its names is bad
+                for group in range(1, shape.lastindex + 1):
+                    _check_name(shape.group(group), lineno, shape.start(group) + 1)
+            stripped = line.strip()
+            raise GraphSyntaxError(
+                f"expected 'node NAME' or 'TAIL -> HEAD', got {stripped!r}",
+                line=lineno, column=line.index(stripped[0]) + 1)
+        node, tail, head = m.groups()
+        if node is not None:
+            if node in declared:
+                raise GraphSyntaxError(f"node {node!r} declared twice",
+                                       line=lineno, column=m.start(1) + 1)
+            declared.add(node)
+        elif tail is not None:
+            column = m.start(2) + 1
             if tail == head:
                 raise SelfLoop(f"self-loop on node {tail!r}",
-                               line=lineno, column=m.start(1) + 1)
-            if (tail, head) in edge_lines:
-                raise DuplicateEdge(
-                    f"duplicate edge {tail} -> {head} (first at line "
-                    f"{edge_lines[(tail, head)]})",
-                    line=lineno, column=m.start(1) + 1)
-            edge_lines[(tail, head)] = lineno
-            register(tail)
-            register(head)
-            edges.append((tail, head))
-            continue
-        stripped = line.strip()
-        column = line.index(stripped[0]) + 1
-        raise GraphSyntaxError(
-            f"expected 'node NAME' or 'TAIL -> HEAD', got {stripped!r}",
-            line=lineno, column=column)
-
-    try:
-        return build_dag(names, edges)
-    except CycleDetected as exc:
-        witness_line = None
-        for i in range(len(exc.cycle)):
-            pair = (exc.cycle[i], exc.cycle[(i + 1) % len(exc.cycle)])
-            if pair in edge_lines:
-                witness_line = edge_lines[pair]
-                break
-        raise CycleDetected(str(exc), cycle=exc.cycle,
-                            line=witness_line) from None
+                               line=lineno, column=column)
+            first = edge_lines.setdefault((tail, head), lineno)
+            if first != lineno:
+                raise DuplicateEdge(f"duplicate edge {tail} -> {head} (first "
+                                    f"at line {first})", line=lineno, column=column)
+    cycle = error.cycle
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    witness = next((edge_lines[s] for s in steps if s in edge_lines), None)
+    raise CycleDetected(str(error), cycle=cycle, line=witness)
 
 
 def parse_graph_json(text: str) -> Dag:
@@ -133,7 +142,12 @@ def parse_graph_json(text: str) -> Dag:
         names = list(dict.fromkeys(name for edge in edges for name in edge))
     for name in names:
         _check_name(name, None, None)
-    return build_dag(names, edges)
+    try:
+        return build_dag(names, edges)
+    except ValueError:  # the one ValueError left: Dag's repeated-name check
+        repeated = next(n for n, k in Counter(names).items() if k > 1)
+        raise GraphSyntaxError(
+            f'"nodes" lists {repeated!r} more than once') from None
 
 
 def serialize_graph(dag: Dag) -> str:

@@ -26,6 +26,12 @@ CPT_SUM_TOL = 1e-12
 JOINT_MASS_TOL = 1e-9
 
 
+def _check_trail_scale(dag: Dag, work: str) -> None:
+    if dag.node_count > TRAIL_NODE_LIMIT:
+        raise OracleScaleExceeded(f"{work} is capped at {TRAIL_NODE_LIMIT} "
+                                  f"nodes, graph has {dag.node_count}")
+
+
 def _iter_simple_trails(dag: Dag, start: int, goal: int) -> Iterator[Trail]:
     """Depth-first enumeration of node-simple trails between two nodes."""
     nodes = [start]
@@ -62,10 +68,7 @@ def enumerate_simple_trails(dag: Dag, start: int, goal: int) -> list[Trail]:
     Refuses graphs above TRAIL_NODE_LIMIT nodes: the count can grow
     factorially and silence would be worse than an error.
     """
-    if dag.node_count > TRAIL_NODE_LIMIT:
-        raise OracleScaleExceeded(
-            f"trail enumeration is capped at {TRAIL_NODE_LIMIT} nodes, "
-            f"graph has {dag.node_count}")
+    _check_trail_scale(dag, "trail enumeration")
     for v in (start, goal):
         if not (0 <= v < dag.node_count):
             raise ForeignNode(f"node {v} is not in the graph")
@@ -76,10 +79,7 @@ def enumerate_simple_trails(dag: Dag, start: int, goal: int) -> list[Trail]:
 
 def dsep_bruteforce(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Separated set computed trail by trail; the referee for both engines."""
-    if dag.node_count > TRAIL_NODE_LIMIT:
-        raise OracleScaleExceeded(
-            f"brute-force separation is capped at {TRAIL_NODE_LIMIT} nodes, "
-            f"graph has {dag.node_count}")
+    _check_trail_scale(dag, "brute-force separation")
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
     separated = []
@@ -357,10 +357,7 @@ def check_theorem2(dag: Dag, trials: int, seed: int, *,
     numeric side builds `trials` seeded binary networks once and measures
     the largest CI deviation per network.
     """
-    if dag.node_count > TRAIL_NODE_LIMIT:
-        raise OracleScaleExceeded(
-            f"numeric checking is capped at {TRAIL_NODE_LIMIT} nodes, "
-            f"graph has {dag.node_count}")
+    _check_trail_scale(dag, "numeric checking")
     if trials < 1:
         raise ValueError("need at least one trial network")
     seed_rng = random.Random(f"{seed}:networks")

@@ -82,6 +82,24 @@ class TestDagConstruction:
         assert diamond4.has_edge(one, three)
         assert not diamond4.has_edge(three, one)
 
+    def test_has_edge_matches_the_edge_list(self, web7):
+        edges = set(web7.edges)
+        for tail in range(web7.node_count):
+            for head in range(web7.node_count):
+                assert web7.has_edge(tail, head) == ((tail, head) in edges)
+        for tail, head in web7.edges:
+            assert web7.has_edge(tail, head)
+            assert not web7.has_edge(head, tail)
+
+    @pytest.mark.parametrize("tail, head", [
+        (-1, 3), (0, -4), (7, 3), (0, 7), (99, 99),
+        (False, 3), (0, 3.0), (0.0, 3), (True, 2), (1, 2.0), ("0", 3),
+        (0, "3"), (None, 3), (0, None), ((0,), 3)])
+    def test_has_edge_is_false_for_foreign_ids(self, web7, tail, head):
+        # (0, 3) and (1, 2) are edges of web7; these only look like them.
+        assert {(0, 3), (1, 2)} <= set(web7.edges)
+        assert not web7.has_edge(tail, head)
+
     def test_node_name_falls_back_to_id_string(self):
         dag = Dag(2, [(0, 1)])
         assert dag.node_name(1) == "1"

@@ -28,8 +28,11 @@ from dsep import (
     fast_sweep,
     is_active_trail,
     is_dseparated,
+    parse_graph,
     random_dag,
+    random_sparse_dag,
     requisite_parameters,
+    serialize_graph,
     star_dag,
 )
 
@@ -395,6 +398,27 @@ class TestIsDseparated:
         swept = fast_sweep(dag, statement.query(), stop_at=statement.targets)
         assert swept.links_examined <= 2 * _incident_edges(
             dag, statement.sources | statement.targets | statement.conditioning)
+
+    def test_networkx_agrees_at_ten_to_the_five_edges(self, nx):
+        # Loaded through the text format, so the loader is exercised at
+        # scale as well.
+        built = random_sparse_dag(100_000, seed=5)
+        dag = parse_graph(serialize_graph(built))
+        assert dag.edges == built.edges
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(dag.node_count))
+        graph.add_edges_from(dag.edges)
+        rng = random.Random(3)
+        verdicts = []
+        for i in range(6):
+            x, y, *rest = rng.sample(range(dag.node_count), 6)
+            # Odd cases condition on the target's parents, which separates.
+            z = set(dag.parents[y]) - {x} if i % 2 else set(rest[:i % 5])
+            statement = IndependenceStatement({x}, z, {y})
+            expected = nx.is_d_separator(graph, {x}, {y}, z)
+            assert is_dseparated(dag, statement) == expected
+            verdicts.append(expected)
+        assert True in verdicts and False in verdicts
 
     def test_confined_sweep_skips_the_descendant_fan(self):
         # 0 -> 2..41, each of those -> ten grandchildren, and the collider

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsep import (
     CycleDetected,
+    Dag,
     DuplicateEdge,
     GraphSyntaxError,
     SelfLoop,
@@ -91,6 +95,81 @@ class TestParseGraph:
         assert dag.node_count == 0
 
 
+class TestTextGrammar:
+    """The exact language `parse_graph` accepts, and where it stops."""
+
+    @pytest.mark.parametrize("text, names, edges", [
+        ("a->b", ("a", "b"), ((0, 1),)),
+        ("a -> b\r\nb -> c\r\n", ("a", "b", "c"), ((0, 1), (1, 2))),
+        ("a -> b\x0cb -> c", ("a", "b", "c"), ((0, 1), (1, 2))),
+        ("a -> b\u2028b -> c", ("a", "b", "c"), ((0, 1), (1, 2))),
+        ("a\xa0->\u3000b\t", ("a", "b"), ((0, 1),)),
+        ("a -> b  # note -> here, node c\n", ("a", "b"), ((0, 1),)),
+        ("node -> b\n", ("node", "b"), ((0, 1),)),
+        ("node->b\n", ("node", "b"), ((0, 1),)),
+        ("a -> b\nnode a\n", ("a", "b"), ((0, 1),)),
+        (" node\tnode \n", ("node",), ()),
+        ("node a\na -> b\n# x\n\n   \nnode c\nb -> c\n", ("a", "b", "c"),
+         ((0, 1), (1, 2))),
+    ])
+    def test_accepted(self, text, names, edges):
+        dag = parse_graph(text)
+        assert dag.names == names
+        assert dag.edges == edges
+
+    @pytest.mark.parametrize("text, error, line, column, message", [
+        ("\ufeffa -> b\n", GraphSyntaxError, 1, 1,
+         "invalid node name '\\ufeffa' (allowed: letters, digits, '_')"),
+        ("node a\nnode a\n", GraphSyntaxError, 2, 6,
+         "node 'a' declared twice"),
+        ("a -> b\nnode a\nnode  a\n", GraphSyntaxError, 3, 7,
+         "node 'a' declared twice"),
+        ("a -> b -> c\n", GraphSyntaxError, 1, 1,
+         "expected 'node NAME' or 'TAIL -> HEAD', got 'a -> b -> c'"),
+        ("a->b->c\n", GraphSyntaxError, 1, 1,
+         "invalid node name 'a->b' (allowed: letters, digits, '_')"),
+        ("node ->b\n", GraphSyntaxError, 1, 6,
+         "invalid node name '->b' (allowed: letters, digits, '_')"),
+        ("node a b\n", GraphSyntaxError, 1, 1,
+         "expected 'node NAME' or 'TAIL -> HEAD', got 'node a b'"),
+        ("x -> y\na' -> b\n", GraphSyntaxError, 2, 1,
+         "node name \"a'\" uses the prime character, which is reserved "
+         "for dummy parameters"),
+        ("a -> b'\n", GraphSyntaxError, 1, 6,
+         "node name \"b'\" uses the prime character, which is reserved "
+         "for dummy parameters"),
+        ("x -> y\na -> b\nb -> c\na -> b\n", DuplicateEdge, 4, 1,
+         "duplicate edge a -> b (first at line 2)"),
+        ("a -> b\n  c -> c\n", SelfLoop, 2, 3, "self-loop on node 'c'"),
+        ("x -> y\nb -> a\nc -> b\na -> c\n", CycleDetected, 4, None,
+         "graph contains a cycle: a -> c -> b -> a"),
+        ("a -> b\nb -> c\nc -> a\n", CycleDetected, 2, None,
+         "graph contains a cycle: b -> c -> a -> b"),
+        # The first error in document order wins, and a cycle is only
+        # looked for once every line has parsed.
+        ("a -> b\na -> b\n?!\n", DuplicateEdge, 2, 1,
+         "duplicate edge a -> b (first at line 1)"),
+        ("a -> a\nnode x\nnode x\n", SelfLoop, 1, 1, "self-loop on node 'a'"),
+        ("a -> b\nc -> c\na -> b\n", SelfLoop, 2, 1, "self-loop on node 'c'"),
+        ("a -> b\na -> b\nc -> c\n", DuplicateEdge, 2, 1,
+         "duplicate edge a -> b (first at line 1)"),
+        ("x -> y\ny -> x\n?!\n", GraphSyntaxError, 3, 1,
+         "expected 'node NAME' or 'TAIL -> HEAD', got '?!'"),
+    ])
+    def test_rejected(self, text, error, line, column, message):
+        with pytest.raises(error) as info:
+            parse_graph(text)
+        assert type(info.value) is error
+        assert (info.value.line, info.value.column) == (line, column)
+        where = f"line {line}" + (f", column {column}" if column else "")
+        assert str(info.value) == f"{where}: {message}"
+
+    def test_cycle_witness_names(self):
+        with pytest.raises(CycleDetected) as info:
+            parse_graph("x -> y\nb -> a\nc -> b\na -> c\n")
+        assert info.value.cycle == ("a", "c", "b")
+
+
 class TestParseGraphJson:
     def test_minimal_document(self):
         dag = parse_graph_json('{"edges": [["a", "b"], ["b", "c"]]}')
@@ -124,6 +203,10 @@ class TestParseGraphJson:
         with pytest.raises(GraphSyntaxError):
             parse_graph_json(doc)
 
+    def test_repeated_node_name_is_a_syntax_error(self):
+        with pytest.raises(GraphSyntaxError, match="'a' more than once"):
+            parse_graph_json('{"nodes": ["b", "a", "a"]}')
+
     def test_fixture_equivalence_between_formats(self, tmp_path):
         text_dag = load_graph_file(str(DATA_DIR / "diamond4.txt"))
         json_doc = ('{"nodes": ["1", "3", "4", "2"], '
@@ -134,6 +217,21 @@ class TestParseGraphJson:
         assert json_dag.edges == text_dag.edges
         assert [json_dag.node_name(v) for v in range(4)] == [
             text_dag.node_name(v) for v in range(4)]
+
+
+def _named_dag(node_count: int, degree: int, seed: int) -> Dag:
+    """Random forward edges over a shuffled order, in random edge order,
+    with shuffled names that include the keyword `node`."""
+    rng = random.Random(seed)
+    order = list(range(node_count))
+    rng.shuffle(order)
+    edges = {(order[i], order[j]) for i, j in (
+        sorted(rng.sample(range(node_count), 2))
+        for _ in range(degree * node_count if node_count > 1 else 0))}
+    names = [f"v{k}" for k in range(node_count)]
+    names[rng.randrange(node_count)] = "node"
+    rng.shuffle(names)
+    return Dag(node_count, rng.sample(sorted(edges), len(edges)), names=names)
 
 
 class TestSerializeGraph:
@@ -155,6 +253,14 @@ class TestSerializeGraph:
     def test_round_trip_is_identity_on_random_graphs(self, dag):
         again = parse_graph(serialize_graph(dag))
         assert again.node_count == dag.node_count
+        assert again.edges == dag.edges
+
+    @settings(max_examples=25, deadline=None)
+    @given(dag=st.builds(_named_dag, st.integers(1, 3000), st.integers(0, 4),
+                         st.integers(0, 2 ** 32 - 1)))
+    def test_round_trip_keeps_names_ids_and_edge_order(self, dag):
+        again = parse_graph(serialize_graph(dag))
+        assert again.names == dag.names
         assert again.edges == dag.edges
 
     def test_empty_graph_serializes_to_empty_text(self):

@@ -64,6 +64,18 @@ class TestTrailEnumeration:
             enumerate_simple_trails(big, 0, 12)
 
 
+@pytest.mark.parametrize("work, call", [
+    ("trail enumeration", lambda dag: enumerate_simple_trails(dag, 0, 12)),
+    ("brute-force separation",
+     lambda dag: dsep_bruteforce(dag, SeparationQuery({0}))),
+    ("numeric checking", lambda dag: check_theorem2(dag, trials=1, seed=1)),
+])
+def test_trail_scale_guards_name_the_refused_work(work, call):
+    with pytest.raises(OracleScaleExceeded) as info:
+        call(Dag(13, [(i, i + 1) for i in range(12)]))
+    assert str(info.value) == f"{work} is capped at 12 nodes, graph has 13"
+
+
 class TestBruteforceAgreement:
     def test_web7_matches_engines(self, web7, ids):
         for sources, conditioning in [
