@@ -7,12 +7,11 @@ time, so linear scaling can be checked machine-independently.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dag import Dag
+from .dag import Dag, _GcPaused
 from .engine import (
     IndependenceStatement,
     SeparationQuery,
@@ -84,18 +83,13 @@ def build_instance(family: str, edge_count: int, seed: int
 def _best_of(repeats: int, fn):
     best = None
     value = None
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _GcPaused():
         for _ in range(repeats):
             t0 = time.perf_counter()
             value = fn()
             elapsed = time.perf_counter() - t0
             if best is None or elapsed < best:
                 best = elapsed
-    finally:
-        if was_enabled:
-            gc.enable()
     return best, value
 
 

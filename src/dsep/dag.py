@@ -7,9 +7,10 @@ algorithmic works on the integer ids.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, MutableSequence, Sequence
+from typing import Iterable, MutableSequence, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
@@ -20,6 +21,28 @@ from .errors import (
 )
 
 NodeSet = frozenset[int]
+
+
+class _GcPaused:
+    """Cyclic gc off inside, back on at exit if it was on.  A graph build
+    makes no reference cycles, so a pass during it finds no garbage."""
+
+    __slots__ = ("was_on",)
+
+    def __enter__(self) -> None:
+        self.was_on = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.was_on:
+            gc.enable()
+
+
+class _NameIndex(NamedTuple):
+    """A loader's name -> id dict, ids in insertion order, which `Dag`
+    keeps as its table when it comes as `names`."""
+
+    ids: dict[str, int]
 
 
 class Dag:
@@ -35,46 +58,48 @@ class Dag:
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None) -> None:
-        if node_count < 0:
-            raise ValueError("node_count must be nonnegative")
-        self.node_count = node_count
+        with _GcPaused():
+            if node_count < 0:
+                raise ValueError("node_count must be nonnegative")
+            self.node_count = node_count
 
-        if names is None:
-            self.names = None
-            self._name_to_id = None
-        else:
-            self.names = tuple(names)
-            if len(self.names) != node_count:
-                raise ValueError(
-                    f"got {len(self.names)} names for {node_count} nodes")
-            self._name_to_id = dict(zip(self.names, range(node_count)))
-            if len(self._name_to_id) != node_count:
-                raise ValueError("node names must be unique")
+            if names is None:
+                self.names = None
+                self._name_to_id = None
+            else:
+                index = names.ids if type(names) is _NameIndex else None
+                self.names = tuple(names if index is None else index)
+                if len(self.names) != node_count:
+                    raise ValueError(
+                        f"got {len(self.names)} names for {node_count} nodes")
+                self._name_to_id = index or dict(zip(self.names, range(node_count)))
+                if len(self._name_to_id) != node_count:
+                    raise ValueError("node names must be unique")
 
-        pairs = list(map(tuple, edges))
-        parents: list[list[int]] = [[] for _ in range(node_count)]
-        children: list[list[int]] = [[] for _ in range(node_count)]
-        for tail, head in pairs:
-            if not (type(tail) is int is type(head)
-                    and 0 <= tail < node_count and 0 <= head < node_count):
-                raise UnknownEndpoint(
-                    f"edge ({tail!r}, {head!r}) needs int endpoints in "
-                    f"0..{node_count - 1}")
-            if tail == head:
-                raise SelfLoop(f"self-loop on node {self.node_name(tail)}")
-            children[tail].append(head)
-            parents[head].append(tail)
-        # One bulk set build is cheaper than a membership test per edge.
-        if len(set(pairs)) != len(pairs):
-            tail, head = next(e for e, k in Counter(pairs).items() if k > 1)
-            raise DuplicateEdge(
-                f"duplicate edge {self.node_name(tail)} -> "
-                f"{self.node_name(head)}")
+            pairs = list(map(tuple, edges))
+            parents: list[list[int]] = [[] for _ in range(node_count)]
+            children: list[list[int]] = [[] for _ in range(node_count)]
+            for tail, head in pairs:
+                if not (type(tail) is int is type(head)
+                        and 0 <= tail < node_count and 0 <= head < node_count):
+                    raise UnknownEndpoint(
+                        f"edge ({tail!r}, {head!r}) needs int endpoints in "
+                        f"0..{node_count - 1}")
+                if tail == head:
+                    raise SelfLoop(f"self-loop on node {self.node_name(tail)}")
+                children[tail].append(head)
+                parents[head].append(tail)
+            # One bulk set build is cheaper than a membership test per edge.
+            if len(set(pairs)) != len(pairs):
+                tail, head = next(e for e, k in Counter(pairs).items() if k > 1)
+                raise DuplicateEdge(
+                    f"duplicate edge {self.node_name(tail)} -> "
+                    f"{self.node_name(head)}")
 
-        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
-        self.parents: tuple[tuple[int, ...], ...] = tuple(map(tuple, parents))
-        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
-        self._check_acyclic()
+            self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
+            self.parents: tuple[tuple[int, ...], ...] = tuple(map(tuple, parents))
+            self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
+            self._check_acyclic()
 
     # -- name handling -------------------------------------------------
 
@@ -132,12 +157,14 @@ def build_dag(node_names: Sequence[str],
               edges: Iterable[tuple[str, str]]) -> Dag:
     """Assemble a Dag from external node names and name-pair edges."""
     names = list(node_names)
-    index = {nm: i for i, nm in enumerate(names)}   # Dag rejects duplicates
+    index = dict(zip(names, range(len(names))))
     try:
         pairs = [(index[tail], index[head]) for tail, head in edges]
     except KeyError as exc:
         raise UnknownEndpoint(f"unknown edge endpoint {exc.args[0]!r}") from None
-    return Dag(len(names), pairs, names=names)
+    # A repeated name leaves `index` short, and `Dag` rejects `names` then.
+    keep = len(index) == len(names)
+    return Dag(len(names), pairs, names=_NameIndex(index) if keep else names)
 
 
 def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:

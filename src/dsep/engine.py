@@ -24,6 +24,7 @@ fast sweep to that set: O(edges incident to An(X | Y | Z)) per statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable
 
 from .dag import (Dag, DescendantTable, NodeSet, checked_nodes,
@@ -223,17 +224,22 @@ def dsep_set(dag: Dag, query: SeparationQuery) -> NodeSet:
             - query.sources - query.conditioning)
 
 
-@dataclass(frozen=True)
+_SEPARATED = bytes(not b & (4 | 8 | 16) for b in range(256))
+
+
+@dataclass(frozen=True, slots=True)
 class FastSweep:
     """Reached set of the linear-time sweep plus its link-operation count.
 
     `parents_expanded[v]` is 1 when the sweep walked v's parent list, the
     requisite-table mark (see `requisite`); partial after an early stop.
+    `marks[v]` holds the sweep's bits for v (see `fast_sweep`).
     """
 
     reached: frozenset[int]
     links_examined: int
     parents_expanded: bytearray = field(compare=False, repr=False)
+    marks: bytearray = field(compare=False, repr=False)
 
 
 def fast_sweep(dag: Dag, query: SeparationQuery,
@@ -276,7 +282,7 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         mark[v] |= 4
     in_done = bytearray(n)    # parent list already expanded
     if not stop.isdisjoint(sources):
-        return FastSweep(sources, 0, in_done)
+        return FastSweep(sources, 0, in_done, mark)
 
     reached = sorted(sources)
     queue = []      # v: arrived at v along an arrow into v; ~v: out of v
@@ -306,7 +312,7 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                         reached.append(c)
                         if c in stop:
                             ops -= len(kids) - 1 - kids.index(c)
-                            return FastSweep(frozenset(reached), ops, in_done)
+                            return FastSweep(frozenset(reached), ops, in_done, mark)
         if expand_in and not in_done[v]:
             in_done[v] = 1
             ps = parents[v]
@@ -320,16 +326,16 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                         reached.append(p)
                         if p in stop:
                             ops -= len(ps) - 1 - ps.index(p)
-                            return FastSweep(frozenset(reached), ops, in_done)
+                            return FastSweep(frozenset(reached), ops, in_done, mark)
 
-    return FastSweep(frozenset(reached), ops, in_done)
+    return FastSweep(frozenset(reached), ops, in_done, mark)
 
 
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
-    """Same value as `dsep_set`, computed in O(node_count + edge_count)."""
-    swept = fast_sweep(dag, query)
-    return (frozenset(range(dag.node_count)) - swept.reached
-            - query.sources - query.conditioning)
+    """Same value as `dsep_set` in O(node_count + edge_count): the nodes the
+    sweep neither queued nor found conditioned (no mark bit 4, 8 or 16)."""
+    flags = fast_sweep(dag, query).marks.translate(_SEPARATED)
+    return frozenset(compress(range(dag.node_count), flags))
 
 
 def is_dseparated(dag: Dag, statement: IndependenceStatement, *,

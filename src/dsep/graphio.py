@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from typing import NoReturn
 
-from .dag import Dag, build_dag
+from .dag import Dag, _GcPaused, _NameIndex, build_dag
 from .errors import (CycleDetected, DsepError, DuplicateEdge, GraphSyntaxError,
                      SelfLoop)
 
@@ -51,27 +51,28 @@ def parse_graph(text: str) -> Dag:
     One pass: one pattern per line, each name's id assigned at first
     sight.  A failed document is read again to word its first error.
     """
-    lines = text.splitlines()
-    ids: dict[str, int] = {}
-    assign = ids.setdefault
-    pairs: list[tuple[int, int]] = []
-    declared: set[str] = set()
-    for m in map(_LINE.fullmatch, lines):
-        if m is None:
-            _raise_first_error(lines, None)
-        node, tail, head = m.groups()
-        if tail is not None:
-            pairs.append((assign(tail, len(ids)), assign(head, len(ids))))
-        elif node is not None:
-            if node in declared:
+    with _GcPaused():
+        lines = text.splitlines()
+        ids: dict[str, int] = {}
+        assign = ids.setdefault
+        pairs: list[tuple[int, int]] = []
+        declared: set[str] = set()
+        for m in map(_LINE.fullmatch, lines):
+            if m is None:
                 _raise_first_error(lines, None)
-            declared.add(node)
-            assign(node, len(ids))
-    try:
-        return Dag(len(ids), pairs, names=list(ids))
-    except (CycleDetected, SelfLoop, DuplicateEdge) as exc:
-        error = exc
-    _raise_first_error(lines, error)
+            node, tail, head = m.groups()
+            if tail is not None:
+                pairs.append((assign(tail, len(ids)), assign(head, len(ids))))
+            elif node is not None:
+                if node in declared:
+                    _raise_first_error(lines, None)
+                declared.add(node)
+                assign(node, len(ids))
+        try:
+            return Dag(len(ids), pairs, names=_NameIndex(ids))
+        except (CycleDetected, SelfLoop, DuplicateEdge) as exc:
+            error = exc
+        _raise_first_error(lines, error)
 
 
 def _raise_first_error(lines: list[str], error: DsepError | None) -> NoReturn:
@@ -114,40 +115,41 @@ def _raise_first_error(lines: list[str], error: DsepError | None) -> NoReturn:
 
 def parse_graph_json(text: str) -> Dag:
     """Parse the JSON variant; when "nodes" is absent, edges declare names."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphSyntaxError(f"invalid JSON: {exc.msg}",
-                               line=exc.lineno, column=exc.colno) from None
-    if not isinstance(doc, dict):
-        raise GraphSyntaxError("top-level JSON value must be an object")
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise GraphSyntaxError('"edges" must be a list of [tail, head] pairs')
-    edges: list[tuple[str, str]] = []
-    for item in raw_edges:
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(isinstance(e, str) for e in item)):
+    with _GcPaused():
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphSyntaxError(f"invalid JSON: {exc.msg}",
+                                   line=exc.lineno, column=exc.colno) from None
+        if not isinstance(doc, dict):
+            raise GraphSyntaxError("top-level JSON value must be an object")
+        raw_edges = doc.get("edges", [])
+        if not isinstance(raw_edges, list):
+            raise GraphSyntaxError('"edges" must be a list of [tail, head] pairs')
+        edges: list[tuple[str, str]] = []
+        for item in raw_edges:
+            if (not isinstance(item, (list, tuple)) or len(item) != 2
+                    or not all(isinstance(e, str) for e in item)):
+                raise GraphSyntaxError(
+                    f'each edge must be a [tail, head] pair of strings, got '
+                    f'{item!r}')
+            edges.append((item[0], item[1]))
+        if "nodes" in doc:
+            raw_nodes = doc["nodes"]
+            if (not isinstance(raw_nodes, list)
+                    or not all(isinstance(n, str) for n in raw_nodes)):
+                raise GraphSyntaxError('"nodes" must be a list of strings')
+            names = list(raw_nodes)
+        else:
+            names = list(dict.fromkeys(name for edge in edges for name in edge))
+        for name in names:
+            _check_name(name, None, None)
+        try:
+            return build_dag(names, edges)
+        except ValueError:  # the one ValueError left: Dag's repeated-name check
+            repeated = next(n for n, k in Counter(names).items() if k > 1)
             raise GraphSyntaxError(
-                f'each edge must be a [tail, head] pair of strings, got '
-                f'{item!r}')
-        edges.append((item[0], item[1]))
-    if "nodes" in doc:
-        raw_nodes = doc["nodes"]
-        if (not isinstance(raw_nodes, list)
-                or not all(isinstance(n, str) for n in raw_nodes)):
-            raise GraphSyntaxError('"nodes" must be a list of strings')
-        names = list(raw_nodes)
-    else:
-        names = list(dict.fromkeys(name for edge in edges for name in edge))
-    for name in names:
-        _check_name(name, None, None)
-    try:
-        return build_dag(names, edges)
-    except ValueError:  # the one ValueError left: Dag's repeated-name check
-        repeated = next(n for n, k in Counter(names).items() if k > 1)
-        raise GraphSyntaxError(
-            f'"nodes" lists {repeated!r} more than once') from None
+                f'"nodes" lists {repeated!r} more than once') from None
 
 
 def serialize_graph(dag: Dag) -> str:

@@ -112,6 +112,23 @@ class TestDagConstruction:
         with pytest.raises(ValueError):
             build_dag(["a", "a"], [])
 
+    def test_name_checks_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^node names must be unique$"):
+            build_dag(["a", "b", "a"], [("a", "b")])
+        with pytest.raises(ValueError, match="^node names must be unique$"):
+            Dag(2, [], names=["a", "a"])
+        with pytest.raises(ValueError, match="^got 1 names for 2 nodes$"):
+            Dag(2, [], names=["a"])
+
+    def test_names_take_ids_by_position(self):
+        # A mapping passed as `names` lends its keys, never its values.
+        dag = Dag(2, [(0, 1)], names={"a": 7, "b": 9})
+        assert dag.names == ("a", "b")
+        assert (dag.node_id("a"), dag.node_id("b")) == (0, 1)
+        built = build_dag(["b", "a", "c"], [("a", "c")])
+        assert [built.node_id(nm) for nm in ("b", "a", "c")] == [0, 1, 2]
+        assert built.edges == ((1, 2),)
+
     def test_build_dag_rejects_unknown_edge_name(self):
         with pytest.raises(UnknownEndpoint):
             build_dag(["a", "b"], [("a", "c")])

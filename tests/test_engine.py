@@ -298,6 +298,20 @@ class TestSeparationSets:
         assert dsep_set_fast(dag, query) == frozenset(rest)
         assert dsep_set(dag, query) == frozenset(rest)
 
+    def test_engines_agree_at_ten_thousand_edges(self):
+        dag = random_sparse_dag(10_000, 11)
+        x = 2_000
+        blanket = {*dag.parents[x], *dag.children[x]}
+        blanket.update(p for c in dag.children[x] for p in dag.parents[c])
+        blanket.discard(x)
+        rng = random.Random(11)
+        queries = [SeparationQuery({x}, blanket),
+                   SeparationQuery({x, 4_000}, rng.sample(range(4_001, 5_000), 8))]
+        results = [dsep_set_fast(dag, q) for q in queries]
+        assert results == [dsep_set(dag, q) for q in queries]
+        # The Markov blanket separates x from every other node.
+        assert results[0] == frozenset(range(dag.node_count)) - blanket - {x}
+
     def test_result_never_contains_query_nodes(self, web7, ids):
         query = SeparationQuery(ids(web7, "n4"), ids(web7, "n2"))
         result = dsep_set(web7, query)

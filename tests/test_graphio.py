@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from dsep import (
     load_graph_file,
     parse_graph,
     parse_graph_json,
+    random_sparse_dag,
     serialize_graph,
 )
 
@@ -266,3 +269,77 @@ class TestSerializeGraph:
     def test_empty_graph_serializes_to_empty_text(self):
         dag = parse_graph("")
         assert serialize_graph(dag) == ""
+
+
+@pytest.fixture(scope="module")
+def sparse_documents():
+    """One 10,000-edge graph as text, as JSON, and as `Dag` arguments."""
+    dag = random_sparse_dag(10_000, 7)
+    names = [f"v{v}" for v in range(dag.node_count)]
+    named = Dag(dag.node_count, dag.edges, names=names)
+    doc = json.dumps({"nodes": names,
+                      "edges": [[names[t], names[h]] for t, h in dag.edges]})
+    return serialize_graph(named), doc, (dag.node_count, dag.edges, names)
+
+
+def _collections_during(build) -> list[int]:
+    """Generations of the collections that start while `build()` runs."""
+    started: list[int] = []
+
+    def hook(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        build()
+    finally:
+        gc.callbacks.remove(hook)
+    return started
+
+
+class TestCollectorPause:
+    """Loads run with the cyclic collector paused and restore its state."""
+
+    def test_no_collection_starts_inside_a_load(self, sparse_documents):
+        text, doc, (node_count, edges, names) = sparse_documents
+        assert gc.isenabled()
+        # The hook does see the collections a comparable build sets off.
+        assert _collections_during(lambda: [(i, [i]) for i in range(30_000)])
+        assert _collections_during(lambda: parse_graph(text)) == []
+        assert _collections_during(lambda: parse_graph_json(doc)) == []
+        assert _collections_during(
+            lambda: Dag(node_count, edges, names=names)) == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("load,error", [
+        (lambda: parse_graph("a -> b\nnode c\n"), None),
+        (lambda: parse_graph_json('{"edges": [["a", "b"]]}'), None),
+        (lambda: Dag(2, [(0, 1)], names=["a", "b"]), None),
+        (lambda: parse_graph("a -> b\na => c\n"), GraphSyntaxError),
+        (lambda: parse_graph("a -> a\n"), SelfLoop),
+        (lambda: parse_graph("a -> b\na -> b\n"), DuplicateEdge),
+        (lambda: parse_graph("a -> b\nb -> a\n"), CycleDetected),
+        (lambda: parse_graph_json('{"nodes": ["a"], "edges": [["a", "b"]]}'),
+         UnknownEndpoint),
+        (lambda: parse_graph_json('{"edges": [["a", "b"]'), GraphSyntaxError),
+        (lambda: parse_graph_json('{"nodes": ["a", "a"]}'), GraphSyntaxError),
+        (lambda: Dag(2, [(0, 2)]), UnknownEndpoint),
+        (lambda: Dag(2, [], names=["a", "a"]), ValueError),
+    ], ids=["text", "json", "dag", "text-syntax", "text-self-loop",
+            "text-duplicate-edge", "text-cycle", "json-unknown-endpoint",
+            "json-bad-document", "json-repeated-name", "dag-unknown-endpoint",
+            "dag-repeated-name"])
+    def test_collector_state_is_restored(self, enabled, load, error):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                load()
+            else:
+                with pytest.raises(error):
+                    load()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
