@@ -64,7 +64,7 @@ from .oracle import (
     max_ci_violation,
     random_network,
 )
-from .reachability import LinkGraph, ReachabilityResult, find_reachable
+from .reachability import ReachabilityResult, find_reachable
 from .requisite import (
     AugmentedDag,
     augment_dummies,
@@ -93,7 +93,6 @@ __all__ = [
     "GraphSyntaxError",
     "IndependenceStatement",
     "JointTable",
-    "LinkGraph",
     "MalformedTrail",
     "MoralGraph",
     "NonAdjacentPair",

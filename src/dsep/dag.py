@@ -168,7 +168,8 @@ def build_dag(node_names: Sequence[str],
 
 
 def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:
-    """Freeze `nodes` into a set after checking each is a plain int id of `dag`."""
+    """Freeze `nodes` into a set after checking each is a plain int id of
+    `dag`, or of any graph with a `node_count`."""
     members = frozenset(nodes)
     n = dag.node_count
     for v in members:
@@ -228,40 +229,28 @@ class DoubledGraph:
     """Directed graph holding each base edge in both orientations.
 
     Base edge k appears as link 2*k (original direction) and link 2*k+1
-    (reversed); `out_links[v]` lists every link leaving v.  Trail
-    traversal over the base dag becomes plain directed traversal here,
-    with the orientation tag recording which way the base arrow points.
+    (reversed), so a link's low bit says which way the base arrow points
+    and its tail is `base.edges[lid >> 1][lid & 1]`; `out_links[v]` lists
+    every link leaving v.  Trail traversal over the base dag becomes
+    plain directed traversal here.
     """
 
-    __slots__ = ("base", "node_count", "link_tails", "link_heads",
-                 "link_reversed", "out_links")
+    __slots__ = ("node_count", "link_heads", "out_links")
 
     def __init__(self, base: Dag) -> None:
-        self.base = base
         self.node_count = base.node_count
-        n_links = 2 * len(base.edges)
-        tails = [0] * n_links
-        heads = [0] * n_links
-        reversed_ = [False] * n_links
+        heads: list[int] = []
         out: list[list[int]] = [[] for _ in range(base.node_count)]
-        for k, (t, h) in enumerate(base.edges):
-            o = 2 * k
-            r = o + 1
-            tails[o] = t
-            heads[o] = h
-            tails[r] = h
-            heads[r] = t
-            reversed_[r] = True
-            out[t].append(o)
-            out[h].append(r)
-        self.link_tails = tuple(tails)
+        for t, h in base.edges:
+            out[t].append(len(heads))
+            out[h].append(len(heads) + 1)
+            heads += (h, t)
         self.link_heads = tuple(heads)
-        self.link_reversed = tuple(reversed_)
-        self.out_links = tuple(tuple(ls) for ls in out)
+        self.out_links = tuple(map(tuple, out))
 
     @property
     def link_count(self) -> int:
-        return len(self.link_tails)
+        return len(self.link_heads)
 
     def __repr__(self) -> str:
         return (f"DoubledGraph(nodes={self.node_count}, "

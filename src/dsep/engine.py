@@ -23,7 +23,7 @@ fast sweep to that set: O(edges incident to An(X | Y | Z)) per statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
@@ -32,7 +32,6 @@ from .dag import (Dag, DescendantTable, NodeSet, checked_nodes,
 from .errors import (
     EmptyStartSet,
     EndpointInConditioningSet,
-    ForeignNode,
     MalformedTrail,
     NonAdjacentPair,
     TableMismatch,
@@ -112,9 +111,7 @@ def _check_trail(dag: Dag, trail: Trail) -> None:
         raise MalformedTrail(
             f"trail needs k+1 nodes for k>=1 edges, got {len(nodes)} nodes "
             f"and {len(edges)} edges")
-    for v in nodes:
-        if not (0 <= v < dag.node_count):
-            raise ForeignNode(f"trail node {v} is not in the graph")
+    checked_nodes(dag, nodes)
     if len(set(edges)) != len(edges):
         raise MalformedTrail("trail repeats an edge")
     for i, edge in enumerate(edges):
@@ -140,14 +137,18 @@ def is_active_trail(dag: Dag, trail: Trail,
     if trail.nodes[0] in cond or trail.nodes[-1] in cond:
         raise EndpointInConditioningSet(
             "trail endpoints may not be conditioned on")
-    flags = None
-    for p in range(1, len(trail.nodes) - 1):
+    return _trail_active(trail, descendant_table(dag, cond).flags, cond)
+
+
+def _trail_active(trail: Trail, flags: tuple[bool, ...],
+                  cond: NodeSet) -> bool:
+    """`is_active_trail` on a checked trail, given `cond`'s descendant flags."""
+    nodes = trail.nodes
+    for p in range(1, len(nodes) - 1):
         if trail.head_to_head(p):
-            if flags is None:
-                flags = descendant_table(dag, cond).flags
-            if not flags[trail.nodes[p]]:
+            if not flags[nodes[p]]:
                 return False
-        elif trail.nodes[p] in cond:
+        elif nodes[p] in cond:
             return False
     return True
 
@@ -225,21 +226,33 @@ def dsep_set(dag: Dag, query: SeparationQuery) -> NodeSet:
 
 
 _SEPARATED = bytes(not b & (4 | 8 | 16) for b in range(256))
+_REACHED = bytes(bool(b & (8 | 16)) for b in range(256))
+_PARENTS_WALKED = bytes(b >> 6 & 1 for b in range(256))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class FastSweep:
-    """Reached set of the linear-time sweep plus its link-operation count.
+    """The marks the linear-time sweep left plus its link-operation count.
 
-    `parents_expanded[v]` is 1 when the sweep walked v's parent list, the
-    requisite-table mark (see `requisite`); partial after an early stop.
-    `marks[v]` holds the sweep's bits for v (see `fast_sweep`).
+    `marks[v]` holds the sweep's bits for v (see `fast_sweep`);
+    `reached` and `parents_expanded` are read off them on demand, each in
+    O(node_count).
     """
 
-    reached: frozenset[int]
+    marks: bytearray
     links_examined: int
-    parents_expanded: bytearray = field(compare=False, repr=False)
-    marks: bytearray = field(compare=False, repr=False)
+
+    @property
+    def reached(self) -> frozenset[int]:
+        """The sources and every node the sweep arrived at."""
+        flags = self.marks.translate(_REACHED)
+        return frozenset(compress(range(len(flags)), flags))
+
+    @property
+    def parents_expanded(self) -> bytearray:
+        """1 where the sweep walked v's parent list, the requisite-table
+        mark (see `requisite`); partial after an early stop."""
+        return self.marks.translate(_PARENTS_WALKED)
 
 
 def fast_sweep(dag: Dag, query: SeparationQuery,
@@ -261,16 +274,21 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     node along an arrow can only go on downwards, so it reaches no stop
     node and opens no parent list.  `reached` then lies in An(sources |
     A), and `links_examined` is at most twice the number of edges
-    incident to that set.
+    incident to that set.  A source in `stop_at` ends the sweep before
+    its first link: `reached` is then the sources, and no list is walked.
+
+    The sweep's whole state is one bytearray of n marks.  Bits of
+    `marks[v]`: 1 in An(conditioning), an open collider when entered
+    along an arrow; 2 child links may enter (every node without a stop
+    set); 4 conditioned; 8 / 16 the state (v, arrived into v) / (v,
+    arrived out of v) queued; 32 children walked; 64 parents walked.  A
+    node is reached iff it has bit 8 or 16; the sources get both first.
     """
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
     n = dag.node_count
     parents, children = dag.parents, dag.children
-    # mark[v] bits, as literals (a global lookup per link costs more): 1 in
-    # An(Z), an open collider when entered along an arrow; 2 child links may
-    # enter (everywhere without a stop set); 4 conditioned; 8 / 16 the state
-    # (v, arrived into v) / (v, arrived out of v) queued; 32 children walked.
+    # The bits are written as literals: a global lookup per link costs more.
     if stop_at is None:
         stop, mark = frozenset(), bytearray(b"\x02") * n
         mark_ancestors(dag, cond, mark, 1)
@@ -280,15 +298,13 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         mark_ancestors(dag, stop, mark, 2)
     for v in cond:
         mark[v] |= 4
-    in_done = bytearray(n)    # parent list already expanded
-    if not stop.isdisjoint(sources):
-        return FastSweep(sources, 0, in_done, mark)
-
-    reached = sorted(sources)
     queue = []      # v: arrived at v along an arrow into v; ~v: out of v
-    for j in reached:
+    for j in sorted(sources):
         mark[j] |= 8 | 16
         queue.append(~j)
+    if not stop.isdisjoint(sources):
+        return FastSweep(mark, 0)
+
     ops = 0
     for state in queue:     # the list grows while it is walked: a FIFO queue
         if state >= 0:
@@ -300,7 +316,8 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
             m = mark[v]
             expand_in = not m & 4
         if not m & (4 | 32):
-            mark[v] = m | 32
+            m |= 32
+            mark[v] = m
             kids = children[v]
             ops += len(kids)
             for c in kids:      # arrives at c along an arrow into c
@@ -308,13 +325,11 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                 if mc & (2 | 8) == 2:
                     mark[c] = mc | 8
                     queue.append(c)
-                    if not mc & 16:     # first arrival at c
-                        reached.append(c)
-                        if c in stop:
-                            ops -= len(kids) - 1 - kids.index(c)
-                            return FastSweep(frozenset(reached), ops, in_done, mark)
-        if expand_in and not in_done[v]:
-            in_done[v] = 1
+                    if c in stop:   # a first arrival: else the sweep had ended
+                        ops -= len(kids) - 1 - kids.index(c)
+                        return FastSweep(mark, ops)
+        if expand_in and not m & 64:
+            mark[v] = m | 64
             ps = parents[v]
             ops += len(ps)
             for p in ps:        # arrives at p along an arrow out of p
@@ -322,13 +337,11 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                 if not mp & 16:
                     mark[p] = mp | 16
                     queue.append(~p)
-                    if not mp & 8:      # first arrival at p
-                        reached.append(p)
-                        if p in stop:
-                            ops -= len(ps) - 1 - ps.index(p)
-                            return FastSweep(frozenset(reached), ops, in_done, mark)
+                    if p in stop:
+                        ops -= len(ps) - 1 - ps.index(p)
+                        return FastSweep(mark, ops)
 
-    return FastSweep(frozenset(reached), ops, in_done, mark)
+    return FastSweep(mark, ops)
 
 
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
@@ -351,9 +364,11 @@ def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
     query = statement.query()
     stop = targets if early_stop else None
     if method == "fast":
-        reached = fast_sweep(dag, query, stop_at=stop).reached
-    elif method == "faithful":
-        reached = _faithful_sweep(dag, query, stop_at=stop).reached
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return not (reached & targets)
+        marks = fast_sweep(dag, query, stop_at=stop).marks
+        for t in targets:
+            if marks[t] & (8 | 16):
+                return False
+        return True
+    if method == "faithful":
+        return not (_faithful_sweep(dag, query, stop_at=stop).reached & targets)
+    raise ValueError(f"unknown method {method!r}")

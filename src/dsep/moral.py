@@ -30,15 +30,6 @@ class MoralGraph:
     def neighbors(self, v: int) -> tuple[int, ...] | list[int]:
         return self._adjacency.get(v, ())
 
-    @property
-    def undirected_edges(self) -> frozenset[tuple[int, int]]:
-        """Normalized (low, high) pairs; derived on demand."""
-        pairs = set()
-        for v, nbs in self._adjacency.items():
-            for w in nbs:
-                pairs.add((v, w) if v < w else (w, v))
-        return frozenset(pairs)
-
     def __repr__(self) -> str:
         return f"MoralGraph(nodes={len(self.nodes)})"
 

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dag import Dag, NodeSet, checked_nodes, descendant_table
-from .engine import SeparationQuery, Trail, is_active_trail
+from .engine import SeparationQuery, Trail, _trail_active
 from .errors import ForeignNode, OracleScaleExceeded
 
 TRAIL_NODE_LIMIT = 12          # largest graph the trail enumerator accepts
@@ -69,9 +69,7 @@ def enumerate_simple_trails(dag: Dag, start: int, goal: int) -> list[Trail]:
     factorially and silence would be worse than an error.
     """
     _check_trail_scale(dag, "trail enumeration")
-    for v in (start, goal):
-        if not (0 <= v < dag.node_count):
-            raise ForeignNode(f"node {v} is not in the graph")
+    checked_nodes(dag, (start, goal))
     if start == goal:
         raise ValueError("trail endpoints must differ")
     return list(_iter_simple_trails(dag, start, goal))
@@ -82,12 +80,13 @@ def dsep_bruteforce(dag: Dag, query: SeparationQuery) -> NodeSet:
     _check_trail_scale(dag, "brute-force separation")
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
+    flags = descendant_table(dag, cond).flags
     separated = []
     for alpha in range(dag.node_count):
         if alpha in sources or alpha in cond:
             continue
         connected = any(
-            is_active_trail(dag, trail, cond)
+            _trail_active(trail, flags, cond)
             for j in sorted(sources)
             for trail in _iter_simple_trails(dag, j, alpha))
         if not connected:
@@ -300,17 +299,8 @@ class Theorem2Report:
 def _oracle_separated(dag: Dag, source: int, target: int,
                       cond: NodeSet) -> bool:
     flags = descendant_table(dag, cond).flags
-
-    def active(trail: Trail) -> bool:
-        for p in range(1, len(trail.nodes) - 1):
-            if trail.head_to_head(p):
-                if not flags[trail.nodes[p]]:
-                    return False
-            elif trail.nodes[p] in cond:
-                return False
-        return True
-
-    return not any(active(t) for t in _iter_simple_trails(dag, source, target))
+    return not any(_trail_active(t, flags, cond)
+                   for t in _iter_simple_trails(dag, source, target))
 
 
 def sample_triples(dag: Dag, seed: int,

@@ -1,10 +1,9 @@
 """Breadth-first reachability where chosen pairs of consecutive links are illegal.
 
 The sweep works on any object exposing `node_count`, `link_heads`
-(head node per link id) and `out_links` (link ids leaving each node) --
-both the generic LinkGraph below and the doubled graph from `dag`
-satisfy that contract.  Cycles and parallel links are fine: each link
-is labeled at most once, which also bounds the work.
+(head node per link id) and `out_links` (link ids leaving each node),
+as the doubled graph from `dag` does.  Cycles and parallel links are
+fine: each link is labeled at most once, which also bounds the work.
 """
 
 from __future__ import annotations
@@ -13,43 +12,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import EmptyStartSet, ForeignNode, UnknownEndpoint
+from .dag import checked_nodes
+from .errors import EmptyStartSet
 
 # Decides whether the second link may directly follow the first on a path.
 LegalPairRelation = Callable[[int, int], bool]
-
-
-class LinkGraph:
-    """Plain directed graph with dense link ids; cycles and duplicates allowed."""
-
-    __slots__ = ("node_count", "link_tails", "link_heads", "out_links")
-
-    def __init__(self, node_count: int,
-                 links: Iterable[tuple[int, int]]) -> None:
-        if node_count < 0:
-            raise ValueError("node_count must be nonnegative")
-        self.node_count = node_count
-        tails: list[int] = []
-        heads: list[int] = []
-        out: list[list[int]] = [[] for _ in range(node_count)]
-        for tail, head in links:
-            if not (0 <= tail < node_count and 0 <= head < node_count):
-                raise UnknownEndpoint(
-                    f"link ({tail}, {head}) leaves the node range "
-                    f"0..{node_count - 1}")
-            out[tail].append(len(tails))
-            tails.append(tail)
-            heads.append(head)
-        self.link_tails = tuple(tails)
-        self.link_heads = tuple(heads)
-        self.out_links = tuple(tuple(ls) for ls in out)
-
-    @property
-    def link_count(self) -> int:
-        return len(self.link_tails)
-
-    def __repr__(self) -> str:
-        return f"LinkGraph(nodes={self.node_count}, links={self.link_count})"
 
 
 @dataclass(frozen=True)
@@ -64,7 +31,6 @@ class ReachabilityResult:
 
     reached: frozenset[int]
     link_levels: tuple[int | None, ...]
-    sources: frozenset[int]
 
 
 def find_reachable(graph, legal: LegalPairRelation,
@@ -78,15 +44,10 @@ def find_reachable(graph, legal: LegalPairRelation,
     `stop_at` is given the sweep returns as soon as one of those nodes
     is reached (the partial result still satisfies the level contract).
     """
-    starts = frozenset(sources)
+    starts = checked_nodes(graph, sources)
     if not starts:
         raise EmptyStartSet("reachability needs at least one start node")
-    for v in starts:
-        if not (0 <= v < graph.node_count):
-            raise ForeignNode(
-                f"start node {v} is not in the graph "
-                f"(node_count={graph.node_count})")
-    stop = frozenset(stop_at) if stop_at is not None else frozenset()
+    stop = checked_nodes(graph, stop_at) if stop_at is not None else frozenset()
 
     heads = graph.link_heads
     out_links = graph.out_links
@@ -95,7 +56,7 @@ def find_reachable(graph, legal: LegalPairRelation,
     queue: deque[int] = deque()
 
     def result() -> ReachabilityResult:
-        return ReachabilityResult(frozenset(reached), tuple(levels), starts)
+        return ReachabilityResult(frozenset(reached), tuple(levels))
 
     if stop & starts:
         return result()

@@ -35,6 +35,7 @@ from dsep import (
     serialize_graph,
     star_dag,
 )
+from dsep.engine import FastSweep
 
 from .conftest import dags_with_query
 
@@ -139,6 +140,9 @@ class TestActiveTrail:
         ((0, 1, 0), ((0, 1), (0, 1)), MalformedTrail),  # repeated edge
         ((1, 2), ((0, 1),), MalformedTrail),            # edge joins others
         ((0, 9), ((0, 9),), ForeignNode),               # unknown node
+        ((0, 1.0, 2), ((0, 1), (1, 2)), ForeignNode),   # float id
+        ((0, True, 2), ((0, 1), (1, 2)), ForeignNode),  # bool id
+        ((0.0, 1, 2), ((0, 1), (1, 2)), ForeignNode),   # float endpoint
     ])
     def test_malformed_trails_rejected(self, nodes, edges, error):
         dag = Dag(3, [(0, 1), (1, 2)])
@@ -345,6 +349,22 @@ class TestSeparationSets:
         assert sources <= sweep.reached
         assert dsep_set_fast(dag, query) == (
             frozenset(everything) - sweep.reached - conditioning)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=dags_with_query())
+    def test_fast_sweep_stopped_at_its_sources_reaches_only_them(self, case):
+        dag, sources, conditioning = case
+        swept = fast_sweep(dag, SeparationQuery(sources, conditioning),
+                           stop_at=sources)
+        assert swept.reached == sources
+        assert swept.links_examined == 0
+        assert not any(swept.parents_expanded)
+
+    def test_fast_sweep_keeps_only_marks_and_link_count(self):
+        assert FastSweep.__slots__ == ("marks", "links_examined")
+        swept = fast_sweep(chain_dag(3), SeparationQuery({1}))
+        assert isinstance(swept.marks, bytearray)
+        assert len(swept.marks) == 4
 
     def test_fast_sweep_expands_sources_first_in_id_order(self):
         dag = chain_dag(4)  # 0 -> 1 -> 2 -> 3 -> 4

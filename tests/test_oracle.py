@@ -59,6 +59,8 @@ class TestTrailEnumeration:
             enumerate_simple_trails(web7, 2, 2)
         with pytest.raises(ForeignNode):
             enumerate_simple_trails(web7, 0, 99)
+        with pytest.raises(ForeignNode):
+            enumerate_simple_trails(web7, 0, 1.0)
         big = Dag(13, [(i, i + 1) for i in range(12)])
         with pytest.raises(OracleScaleExceeded):
             enumerate_simple_trails(big, 0, 12)
@@ -121,10 +123,10 @@ class TestBruteforceAgreement:
         twin = doubled_graph(dag)
 
         def legal(first: int, second: int) -> bool:
-            if twin.link_tails[first] == twin.link_heads[second]:
+            if dag.edges[first >> 1][first & 1] == twin.link_heads[second]:
                 return False
             v = twin.link_heads[first]
-            if not twin.link_reversed[first] and twin.link_reversed[second]:
+            if not first & 1 and second & 1:    # both arrows point into v
                 return v in flagged
             return v not in cond
 

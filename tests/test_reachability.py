@@ -3,25 +3,30 @@
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsep import (
-    EmptyStartSet,
-    ForeignNode,
-    LinkGraph,
-    UnknownEndpoint,
-    find_reachable,
-)
+from dsep import EmptyStartSet, ForeignNode, find_reachable
 
 
 def _always(first: int, second: int) -> bool:
     return True
 
 
-def _plain_bfs_nodes(graph: LinkGraph, sources: set[int]) -> set[int]:
+def _links(node_count: int, pairs) -> SimpleNamespace:
+    """Just what `find_reachable` reads: link k runs pairs[k][0] -> pairs[k][1]."""
+    out = [[] for _ in range(node_count)]
+    for lid, (tail, _) in enumerate(pairs):
+        out[tail].append(lid)
+    return SimpleNamespace(node_count=node_count,
+                           link_heads=tuple(head for _, head in pairs),
+                           out_links=tuple(map(tuple, out)))
+
+
+def _plain_bfs_nodes(graph, sources: set[int]) -> set[int]:
     seen = set(sources)
     frontier = deque(sources)
     while frontier:
@@ -41,18 +46,18 @@ def link_graphs(draw: st.DrawFn):
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         max_size=20))
-    return LinkGraph(n, pairs)
+    return _links(n, pairs)
 
 
 class TestFindReachable:
     def test_unconstrained_chain(self):
-        graph = LinkGraph(4, [(0, 1), (1, 2), (2, 3)])
+        graph = _links(4, [(0, 1), (1, 2), (2, 3)])
         result = find_reachable(graph, _always, {0})
         assert result.reached == frozenset({0, 1, 2, 3})
         assert result.link_levels == (1, 2, 3)
 
     def test_first_hops_are_level_one_even_if_pair_would_be_illegal(self):
-        graph = LinkGraph(3, [(0, 1), (1, 2)])
+        graph = _links(3, [(0, 1), (1, 2)])
         result = find_reachable(graph, lambda a, b: False, {0})
         assert result.link_levels[0] == 1
         assert result.link_levels[1] is None
@@ -61,7 +66,7 @@ class TestFindReachable:
     def test_forbidden_consecutive_pair_blocks_a_path(self):
         # 0 -(a)-> 1 -(b)-> 2, with the pair (a, b) outlawed; node 2 stays
         # unreached unless the second route in is allowed.
-        graph = LinkGraph(3, [(0, 1), (1, 2), (0, 2)])
+        graph = _links(3, [(0, 1), (1, 2), (0, 2)])
 
         def legal(first: int, second: int) -> bool:
             return not (first == 0 and second == 1)
@@ -71,46 +76,63 @@ class TestFindReachable:
         assert result.link_levels[1] is None
         assert result.link_levels[2] == 1
 
-        narrow = LinkGraph(3, [(0, 1), (1, 2)])
+        narrow = _links(3, [(0, 1), (1, 2)])
         blocked = find_reachable(narrow, legal, {0})
         assert blocked.reached == frozenset({0, 1})
 
     def test_each_link_is_labeled_at_most_once(self):
         # Two routes converge on link 2; its level must be the first one.
-        graph = LinkGraph(4, [(0, 2), (1, 2), (2, 3)])
+        graph = _links(4, [(0, 2), (1, 2), (2, 3)])
         result = find_reachable(graph, _always, {0, 1})
         assert result.link_levels == (1, 1, 2)
 
     def test_terminates_on_cycles(self):
-        graph = LinkGraph(3, [(0, 1), (1, 2), (2, 0), (2, 1)])
+        graph = _links(3, [(0, 1), (1, 2), (2, 0), (2, 1)])
         result = find_reachable(graph, _always, {0})
         assert result.reached == frozenset({0, 1, 2})
         assert all(level is not None for level in result.link_levels)
 
     def test_stop_at_short_circuits(self):
-        graph = LinkGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        graph = _links(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         result = find_reachable(graph, _always, {0}, stop_at={2})
         assert 2 in result.reached
         # the far end of the chain is never explored once the stop hits
         assert 4 not in result.reached
 
     def test_stop_at_member_of_sources(self):
-        graph = LinkGraph(2, [(0, 1)])
+        graph = _links(2, [(0, 1)])
         result = find_reachable(graph, _always, {0}, stop_at={0})
         assert 0 in result.reached
 
     def test_empty_sources_rejected(self):
-        graph = LinkGraph(2, [(0, 1)])
+        graph = _links(2, [(0, 1)])
         with pytest.raises(EmptyStartSet):
             find_reachable(graph, _always, set())
 
     def test_foreign_source_rejected(self):
-        graph = LinkGraph(2, [(0, 1)])
+        graph = _links(2, [(0, 1)])
         with pytest.raises(ForeignNode):
             find_reachable(graph, _always, {5})
 
+    @pytest.mark.parametrize("start", [True, 0.5, "a"])
+    def test_non_int_start_rejected(self, start):
+        graph = _links(2, [(0, 1)])
+        with pytest.raises(ForeignNode):
+            find_reachable(graph, _always, {start})
+
+    def test_foreign_stop_rejected(self):
+        graph = _links(2, [(0, 1)])
+        with pytest.raises(ForeignNode):
+            find_reachable(graph, _always, {0}, stop_at={99})
+
+    def test_allows_self_links_and_duplicates(self):
+        graph = _links(2, [(0, 0), (0, 1), (0, 1)])
+        result = find_reachable(graph, _always, {0})
+        assert result.reached == frozenset({0, 1})
+        assert result.link_levels == (1, 1, 1)
+
     def test_levels_count_links_not_nodes(self):
-        graph = LinkGraph(3, [(0, 1), (0, 2), (1, 2), (2, 0)])
+        graph = _links(3, [(0, 1), (0, 2), (1, 2), (2, 0)])
         result = find_reachable(graph, _always, {0})
         assert result.link_levels[0] == 1
         assert result.link_levels[1] == 1
@@ -132,26 +154,16 @@ class TestFindReachable:
         sources = data.draw(st.sets(
             st.integers(0, graph.node_count - 1), min_size=1, max_size=3))
         result = find_reachable(graph, _always, sources)
+        tails = {lid: v for v in range(graph.node_count)
+                 for lid in graph.out_links[v]}
         for lid, level in enumerate(result.link_levels):
             if level is None:
                 continue
-            tail = graph.link_tails[lid]
+            tail = tails[lid]
             if level == 1:
                 assert tail in sources
             else:
-                feeders = [k for k in range(graph.link_count)
+                feeders = [k for k in range(len(graph.link_heads))
                            if graph.link_heads[k] == tail
                            and result.link_levels[k] == level - 1]
                 assert feeders, f"link {lid} at level {level} has no feeder"
-
-
-class TestLinkGraph:
-    def test_rejects_bad_endpoints(self):
-        with pytest.raises(UnknownEndpoint):
-            LinkGraph(2, [(0, 2)])
-
-    def test_allows_self_links_and_duplicates(self):
-        graph = LinkGraph(2, [(0, 0), (0, 1), (0, 1)])
-        assert graph.link_count == 3
-        assert find_reachable(graph, _always, {0}).reached == frozenset(
-            {0, 1})
