@@ -54,7 +54,7 @@ class Dag:
     """
 
     __slots__ = ("node_count", "edges", "parents", "children", "names",
-                 "_name_to_id")
+                 "_name_to_id", "_doubled")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None) -> None:
@@ -62,6 +62,7 @@ class Dag:
             if node_count < 0:
                 raise ValueError("node_count must be nonnegative")
             self.node_count = node_count
+            self._doubled = None
 
             if names is None:
                 self.names = None
@@ -233,6 +234,9 @@ class DoubledGraph:
     and its tail is `base.edges[lid >> 1][lid & 1]`; `out_links[v]` lists
     every link leaving v.  Trail traversal over the base dag becomes
     plain directed traversal here.
+
+    Get it through `doubled_graph`, which builds it on a Dag's first
+    faithful sweep and keeps it, about 2E link ids, while the Dag lives.
     """
 
     __slots__ = ("node_count", "link_heads", "out_links")
@@ -258,5 +262,9 @@ class DoubledGraph:
 
 
 def doubled_graph(dag: Dag) -> DoubledGraph:
-    """Both-orientations view of `dag` with exactly 2*|edges| links."""
-    return DoubledGraph(dag)
+    """Both-orientations view of `dag` with exactly 2*|edges| links, built
+    on the first call and the same object on every call after it."""
+    twin = dag._doubled
+    if twin is None:
+        twin = dag._doubled = DoubledGraph(dag)
+    return twin

@@ -5,7 +5,9 @@ Two interchangeable engines compute the full separated set:
 * `dsep_set` composes the descendant table, the doubled graph, and the
   constrained breadth-first sweep from `reachability`, then complements
   the reached set.  Scanning a node's adjacency once per labeled
-  incoming link keeps it simple but worst-case quadratic-ish.
+  incoming link keeps it simple but worst-case quadratic-ish.  The
+  doubled graph, about 2E link ids, is built on a Dag's first faithful
+  call and kept while the Dag lives; the fast engine never builds it.
 * `dsep_set_fast` runs directly on the dag with (node, arrival
   orientation) states and expands each of a node's two adjacency lists
   at most once, which bounds the link work by a small constant times
@@ -82,10 +84,10 @@ class IndependenceStatement:
 
 @dataclass(frozen=True)
 class Trail:
-    """A walk between two nodes over distinct edges, directions ignored.
+    """A path between two nodes that visits no node twice, directions ignored.
 
     `edges[i]` is the base-dag edge joining nodes[i] and nodes[i+1],
-    stored in its original orientation; which way the walk traverses it
+    stored in its original orientation; which way the trail traverses it
     follows from the node sequence.
     """
 
@@ -111,9 +113,8 @@ def _check_trail(dag: Dag, trail: Trail) -> None:
         raise MalformedTrail(
             f"trail needs k+1 nodes for k>=1 edges, got {len(nodes)} nodes "
             f"and {len(edges)} edges")
-    checked_nodes(dag, nodes)
-    if len(set(edges)) != len(edges):
-        raise MalformedTrail("trail repeats an edge")
+    if len(checked_nodes(dag, nodes)) != len(nodes):
+        raise MalformedTrail("trail repeats a node")
     for i, edge in enumerate(edges):
         tail, head = edge
         if not dag.has_edge(tail, head):

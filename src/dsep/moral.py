@@ -10,6 +10,7 @@ the production path.
 from __future__ import annotations
 
 from collections import deque
+from typing import Collection
 
 from .dag import Dag, ancestral_set, checked_nodes, descendant_table
 from .engine import IndependenceStatement
@@ -23,11 +24,11 @@ class MoralGraph:
     __slots__ = ("nodes", "_adjacency")
 
     def __init__(self, nodes: frozenset[int],
-                 adjacency: dict[int, list[int]]) -> None:
+                 adjacency: dict[int, Collection[int]]) -> None:
         self.nodes = frozenset(nodes)
         self._adjacency = adjacency
 
-    def neighbors(self, v: int) -> tuple[int, ...] | list[int]:
+    def neighbors(self, v: int) -> Collection[int]:
         return self._adjacency.get(v, ())
 
     def __repr__(self) -> str:
@@ -51,12 +52,14 @@ def moralize(dag: Dag, statement: IndependenceStatement,
     anc = ancestral_set(dag, sources | cond | targets)
 
     # The ancestral set is closed under parents, so an edge is inside the
-    # subgraph exactly when its head is.
-    adjacency: dict[int, list[int]] = {v: [] for v in anc}
+    # subgraph exactly when its head is.  Each neighbor is a key of an
+    # insertion-ordered dict: listed once, where it was first linked, even
+    # when two parents share several children or are already adjacent.
+    adjacency: dict[int, dict[int, None]] = {v: {} for v in anc}
     for tail, head in dag.edges:
         if head in anc:
-            adjacency[tail].append(head)
-            adjacency[head].append(tail)
+            adjacency[tail][head] = None
+            adjacency[head][tail] = None
 
     if marriage == "restricted":
         flags = descendant_table(dag, cond).flags
@@ -68,8 +71,8 @@ def moralize(dag: Dag, statement: IndependenceStatement,
             continue
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
-                adjacency[ps[i]].append(ps[j])
-                adjacency[ps[j]].append(ps[i])
+                adjacency[ps[i]][ps[j]] = None
+                adjacency[ps[j]][ps[i]] = None
 
     return MoralGraph(frozenset(anc), adjacency)
 

@@ -2,9 +2,11 @@
 
 For each query the harness compares the faithful sweep, the linear-time
 sweep, and (within scale) the exhaustive trail oracle; derived
-statements are then re-checked through `is_dseparated` with and without
-early stopping and through the moral baseline under both marriage
-rules.  Any deviation anywhere is recorded verbatim.
+statements are then re-checked through `is_dseparated` with early
+stopping, against the verdicts read off the query's own `dsep_set` /
+`dsep_set_fast` (the same unconfined sweeps, run once per query), and
+through the moral baseline under both marriage rules.  Any deviation
+anywhere is recorded verbatim.
 """
 
 from __future__ import annotations
@@ -118,11 +120,11 @@ def audit_dag(dag: Dag, queries: Iterable[SeparationQuery] | None = None,
                 query.sources, query.conditioning, frozenset((alpha,)))
             report.statements += 1
             verdicts = {}
-            for method in ("fast", "faithful"):
+            for method, unconfined in (("fast", fast),
+                                       ("faithful", faithful)):
                 early = is_dseparated(dag, statement, method=method,
                                       early_stop=True)
-                full = is_dseparated(dag, statement, method=method,
-                                     early_stop=False)
+                full = alpha in unconfined
                 report.early_stop_checks += 1
                 if early != full:
                     report.early_stop_disagreements.append(_describe(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dsep import (
     CycleDetected,
     Dag,
+    DoubledGraph,
     DuplicateEdge,
     ForeignNode,
     SelfLoop,
@@ -221,3 +222,10 @@ class TestDoubledGraph:
         listed = sorted(lid for v in range(twin.node_count)
                         for lid in twin.out_links[v])
         assert listed == list(range(twin.link_count))
+
+    def test_built_once_per_dag(self, web7):
+        twin = doubled_graph(web7)
+        assert doubled_graph(web7) is twin
+        fresh = DoubledGraph(web7)
+        assert twin.link_heads == fresh.link_heads
+        assert twin.out_links == fresh.out_links

@@ -137,17 +137,24 @@ class TestActiveTrail:
         ((0,), (), MalformedTrail),                     # too short
         ((0, 1), ((0, 1), (0, 1)), MalformedTrail),     # edge/node mismatch
         ((0, 2), ((0, 2),), MalformedTrail),            # not an edge
-        ((0, 1, 0), ((0, 1), (0, 1)), MalformedTrail),  # repeated edge
+        ((0, 1, 0), ((0, 1), (0, 1)), MalformedTrail),  # repeated node, edge
         ((1, 2), ((0, 1),), MalformedTrail),            # edge joins others
         ((0, 9), ((0, 9),), ForeignNode),               # unknown node
         ((0, 1.0, 2), ((0, 1), (1, 2)), ForeignNode),   # float id
         ((0, True, 2), ((0, 1), (1, 2)), ForeignNode),  # bool id
         ((0.0, 1, 2), ((0, 1), (1, 2)), ForeignNode),   # float endpoint
+        ((0, 1, 2), ((0, 1), (0, 1)), MalformedTrail),  # repeated edge
     ])
     def test_malformed_trails_rejected(self, nodes, edges, error):
         dag = Dag(3, [(0, 1), (1, 2)])
         with pytest.raises(error):
             is_active_trail(dag, Trail(nodes, edges), frozenset())
+
+    def test_trail_back_to_its_start_rejected(self):
+        dag = Dag(3, [(1, 0), (0, 2), (1, 2)])
+        trail = Trail((1, 0, 2, 1), ((1, 0), (0, 2), (1, 2)))
+        with pytest.raises(MalformedTrail, match="trail repeats a node"):
+            is_active_trail(dag, trail, [])
 
     def test_head_to_head_positions(self, web7):
         n3, n4, n5 = (web7.node_id(n) for n in ("n3", "n4", "n5"))

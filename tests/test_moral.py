@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsep import (
+    Dag,
     IndependenceStatement,
     MoralGraph,
     is_dseparated,
@@ -80,6 +81,17 @@ class TestMoralGraphStructure:
         for v in graph.nodes:
             for w in graph.neighbors(v):
                 assert v in graph.neighbors(w)
+
+    def test_each_neighbor_listed_once(self):
+        # 0 and 1 share two children and are already adjacent
+        dag = Dag(4, [(0, 2), (1, 2), (0, 1), (0, 3), (1, 3)])
+        statement = IndependenceStatement({3}, set(), {2})
+        for marriage in MARRIAGE_RULES:
+            graph = moralize(dag, statement, marriage)
+            for v in graph.nodes:
+                listed = list(graph.neighbors(v))
+                assert len(listed) == len(set(listed))
+            assert sorted(graph.neighbors(0)) == [1, 2, 3]
 
     def test_neighbors_of_an_absent_node_are_empty(self):
         graph = MoralGraph(frozenset({0, 1}), {0: [1], 1: [0]})

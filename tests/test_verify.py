@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import random
 
-from dsep import audit_dag, audit_random_corpus, build_dag, singleton_queries
+import dsep.verify
+from dsep import (
+    audit_dag,
+    audit_random_corpus,
+    build_dag,
+    dsep_set_fast,
+    singleton_queries,
+)
 
 
 class TestSingletonQueries:
@@ -53,6 +60,41 @@ class TestAuditDag:
         assert a.statements == statements + b.statements
         assert a.ok
 
+    def test_confined_sweep_fault_is_caught(self, diamond4, monkeypatch):
+        """A fault in the early-stop sweeps alone, for one target, shows up
+        as one early-stop disagreement per engine and statement."""
+        target = diamond4.node_id("4")
+        real = dsep.verify.is_dseparated
+
+        def faulty(dag, statement, *, method="fast", early_stop=True):
+            verdict = real(dag, statement, method=method,
+                           early_stop=early_stop)
+            if early_stop and statement.targets == {target}:
+                return not verdict
+            return verdict
+
+        monkeypatch.setattr(dsep.verify, "is_dseparated", faulty)
+        report = audit_dag(diamond4)
+
+        expected = []
+        for query in singleton_queries(diamond4):
+            if target in query.sources | query.conditioning:
+                continue
+            full = target in dsep_set_fast(diamond4, query)
+            src = ",".join(sorted(diamond4.node_name(v)
+                                  for v in query.sources))
+            cond = ",".join(sorted(diamond4.node_name(v)
+                                   for v in query.conditioning))
+            for method in ("fast", "faithful"):
+                expected.append(
+                    f"{diamond4!r} sources={{{src}}} conditioning={{{cond}}}: "
+                    f"target 4 method={method} early={not full} full={full}")
+        # 3 other sources, 4 conditioning subsets of the 2 remaining nodes
+        assert len(expected) == 2 * 3 * 4
+        assert report.early_stop_disagreements == expected
+        assert report.early_stop_checks == 2 * report.statements
+        assert not report.marriage_disagreements
+
 
 class TestRandomCorpusAudit:
     def test_small_corpus_is_clean(self):
@@ -68,3 +110,10 @@ class TestRandomCorpusAudit:
         b = audit_random_corpus(max_nodes=4, seed=23, min_queries=40)
         assert (a.graphs, a.queries, a.statements) == (
             b.graphs, b.queries, b.statements)
+
+    def test_corpus_counts_are_pinned(self):
+        report = audit_random_corpus(max_nodes=5, seed=7)
+        assert (report.graphs, report.queries, report.oracle_queries,
+                report.statements, report.early_stop_checks,
+                report.marriage_checks) == (35, 1068, 1068, 1822, 3644, 1822)
+        assert report.ok
