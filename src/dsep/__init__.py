@@ -16,7 +16,6 @@ from __future__ import annotations
 from .bench import BenchReport, BenchRow, run_bench
 from .dag import (
     Dag,
-    DescendantTable,
     DoubledGraph,
     ancestral_set,
     build_dag,
@@ -27,7 +26,6 @@ from .engine import (
     IndependenceStatement,
     SeparationQuery,
     Trail,
-    dsep_legal_pair,
     dsep_set,
     dsep_set_fast,
     fast_sweep,
@@ -43,10 +41,8 @@ from .errors import (
     ForeignNode,
     GraphSyntaxError,
     MalformedTrail,
-    NonAdjacentPair,
     OracleScaleExceeded,
     SelfLoop,
-    TableMismatch,
     UnknownEndpoint,
 )
 from .generators import chain_dag, corpus_dag, random_dag, random_sparse_dag, star_dag
@@ -82,7 +78,6 @@ __all__ = [
     "BenchRow",
     "CycleDetected",
     "Dag",
-    "DescendantTable",
     "DiscreteNetwork",
     "DoubledGraph",
     "DsepError",
@@ -95,12 +90,10 @@ __all__ = [
     "JointTable",
     "MalformedTrail",
     "MoralGraph",
-    "NonAdjacentPair",
     "OracleScaleExceeded",
     "ReachabilityResult",
     "SelfLoop",
     "SeparationQuery",
-    "TableMismatch",
     "Theorem2Report",
     "Trail",
     "UnknownEndpoint",
@@ -116,7 +109,6 @@ __all__ = [
     "descendant_table",
     "doubled_graph",
     "dsep_bruteforce",
-    "dsep_legal_pair",
     "dsep_set",
     "dsep_set_fast",
     "enumerate_simple_trails",

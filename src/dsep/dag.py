@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, MutableSequence, NamedTuple, Sequence
 
 from .errors import (
@@ -179,17 +178,6 @@ def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:
     return members
 
 
-@dataclass(frozen=True)
-class DescendantTable:
-    """Per-node flags: is this node, or one of its descendants, conditioned on?
-
-    `flags[v]` is reflexive: a conditioned node flags itself.
-    """
-
-    flags: tuple[bool, ...]
-    conditioning_set: NodeSet
-
-
 def mark_ancestors(dag: Dag, members: Iterable[int],
                    marks: MutableSequence[int], bit: int = 1) -> list[int]:
     """Set `bit` in `marks` on valid ids `members` and all their ancestors.
@@ -212,12 +200,11 @@ def mark_ancestors(dag: Dag, members: Iterable[int],
     return found
 
 
-def descendant_table(dag: Dag, conditioning: Iterable[int]) -> DescendantTable:
-    """Mark every node that is in `conditioning` or has a descendant there."""
-    members = checked_nodes(dag, conditioning)
+def descendant_table(dag: Dag, conditioning: Iterable[int]) -> tuple[bool, ...]:
+    """Per-node flags: is v in `conditioning`, or has it a descendant there?"""
     flags = [False] * dag.node_count
-    mark_ancestors(dag, members, flags, True)
-    return DescendantTable(flags=tuple(flags), conditioning_set=members)
+    mark_ancestors(dag, checked_nodes(dag, conditioning), flags, True)
+    return tuple(flags)
 
 
 def ancestral_set(dag: Dag, members: Iterable[int]) -> NodeSet:

@@ -29,15 +29,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
-from .dag import (Dag, DescendantTable, NodeSet, checked_nodes,
-                  descendant_table, doubled_graph, mark_ancestors)
-from .errors import (
-    EmptyStartSet,
-    EndpointInConditioningSet,
-    MalformedTrail,
-    NonAdjacentPair,
-    TableMismatch,
-)
+from .dag import (Dag, NodeSet, checked_nodes, descendant_table,
+                  doubled_graph, mark_ancestors)
+from .errors import EmptyStartSet, EndpointInConditioningSet, MalformedTrail
 from .reachability import ReachabilityResult, find_reachable
 
 
@@ -138,7 +132,7 @@ def is_active_trail(dag: Dag, trail: Trail,
     if trail.nodes[0] in cond or trail.nodes[-1] in cond:
         raise EndpointInConditioningSet(
             "trail endpoints may not be conditioned on")
-    return _trail_active(trail, descendant_table(dag, cond).flags, cond)
+    return _trail_active(trail, descendant_table(dag, cond), cond)
 
 
 def _trail_active(trail: Trail, flags: tuple[bool, ...],
@@ -162,7 +156,9 @@ def _legality(dag: Dag, flags: tuple[bool, ...],
     base arrows collide at v (head-to-head) while v is or has a
     descendant in the conditioning set, or they do not collide and v is
     unconditioned.  Link ids follow the doubled-graph convention: base
-    edge k appears as links 2k (original) and 2k+1 (reversed).
+    edge k appears as links 2k (original) and 2k+1 (reversed).  `flags`
+    is `descendant_table(dag, conditioning)`; the head of `first` must be
+    the tail of `second`, as it is for every pair `find_reachable` asks.
     """
     edges = dag.edges
 
@@ -181,38 +177,12 @@ def _legality(dag: Dag, flags: tuple[bool, ...],
     return legal
 
 
-def dsep_legal_pair(dag: Dag, table: DescendantTable,
-                    conditioning: Iterable[int],
-                    first: int, second: int) -> bool:
-    """Public form of the consecutive-link rule for two doubled-graph links.
-
-    Raises TableMismatch unless `table` was built on `dag` for `conditioning`,
-    and NonAdjacentPair when the head of `first` is not the tail of `second`.
-    """
-    cond = checked_nodes(dag, conditioning)
-    if table.conditioning_set != cond or len(table.flags) != dag.node_count:
-        raise TableMismatch(
-            "descendant table was built for another graph or conditioning set")
-    limit = 2 * len(dag.edges)
-    for lid in (first, second):
-        if not (0 <= lid < limit):
-            raise NonAdjacentPair(f"link id {lid} out of range 0..{limit - 1}")
-    e1 = dag.edges[first >> 1]
-    e2 = dag.edges[second >> 1]
-    head_first = e1[1 - (first & 1)]
-    tail_second = e2[second & 1]
-    if head_first != tail_second:
-        raise NonAdjacentPair(
-            f"links {first} and {second} do not meet in a middle node")
-    return _legality(dag, table.flags, cond)(first, second)
-
-
 def _faithful_sweep(dag: Dag, query: SeparationQuery,
                     stop_at: Iterable[int] | None = None) -> ReachabilityResult:
     """Descendant table, doubled graph, then the rule-constrained sweep."""
     sources = checked_nodes(dag, query.sources)
-    table = descendant_table(dag, query.conditioning)
-    legal = _legality(dag, table.flags, table.conditioning_set)
+    legal = _legality(dag, descendant_table(dag, query.conditioning),
+                      query.conditioning)
     return find_reachable(doubled_graph(dag), legal, sources, stop_at=stop_at)
 
 
@@ -353,23 +323,23 @@ def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
 
 
 def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
-                  method: str = "fast", early_stop: bool = True) -> bool:
+                  method: str = "fast") -> bool:
     """Verify one independence statement.
 
-    With `early_stop` the sweep aborts as soon as any target is reached,
-    and the fast one follows child links only into An(targets |
-    conditioning) (see `fast_sweep`); the answer never changes, only the
-    work does.  `method` picks the engine: "fast" (default) or "faithful".
+    The sweep aborts as soon as any target is reached, and the fast one
+    follows child links only into An(targets | conditioning) (see
+    `fast_sweep`).  `method` picks the engine: "fast" (default) or
+    "faithful".
     """
     targets = checked_nodes(dag, statement.targets)
     query = statement.query()
-    stop = targets if early_stop else None
     if method == "fast":
-        marks = fast_sweep(dag, query, stop_at=stop).marks
+        marks = fast_sweep(dag, query, stop_at=targets).marks
         for t in targets:
             if marks[t] & (8 | 16):
                 return False
         return True
     if method == "faithful":
-        return not (_faithful_sweep(dag, query, stop_at=stop).reached & targets)
+        return not (_faithful_sweep(dag, query, stop_at=targets).reached
+                    & targets)
     raise ValueError(f"unknown method {method!r}")

@@ -52,14 +52,6 @@ class EmptyStartSet(DsepError):
     """A reachability sweep or separation query was given no start nodes."""
 
 
-class NonAdjacentPair(DsepError):
-    """Two links were tested as consecutive but do not share a middle node."""
-
-
-class TableMismatch(DsepError):
-    """A descendant table was built for another graph or conditioning set."""
-
-
 class MalformedTrail(DsepError):
     """A trail object does not describe a connected walk over distinct edges."""
 

@@ -153,10 +153,16 @@ def parse_graph_json(text: str) -> Dag:
 
 
 def serialize_graph(dag: Dag) -> str:
-    """Emit the text format; parsing it back reproduces ids, names, and edges."""
-    lines = [f"node {dag.node_name(v)}" for v in range(dag.node_count)]
-    lines.extend(f"{dag.node_name(t)} -> {dag.node_name(h)}"
-                 for t, h in dag.edges)
+    """Emit the text format; parsing it back reproduces ids, names, and edges.
+
+    A name the format cannot hold raises GraphSyntaxError here, not at
+    the later parse.
+    """
+    names = [dag.node_name(v) for v in range(dag.node_count)]
+    for name in names:
+        _check_name(name, None, None)
+    lines = [f"node {name}" for name in names]
+    lines.extend(f"{names[t]} -> {names[h]}" for t, h in dag.edges)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

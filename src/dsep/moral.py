@@ -62,7 +62,7 @@ def moralize(dag: Dag, statement: IndependenceStatement,
             adjacency[head][tail] = None
 
     if marriage == "restricted":
-        flags = descendant_table(dag, cond).flags
+        flags = descendant_table(dag, cond)
     for v in anc:
         ps = dag.parents[v]
         if len(ps) < 2:

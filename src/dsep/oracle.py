@@ -80,7 +80,7 @@ def dsep_bruteforce(dag: Dag, query: SeparationQuery) -> NodeSet:
     _check_trail_scale(dag, "brute-force separation")
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
-    flags = descendant_table(dag, cond).flags
+    flags = descendant_table(dag, cond)
     separated = []
     for alpha in range(dag.node_count):
         if alpha in sources or alpha in cond:
@@ -220,8 +220,8 @@ def max_ci_violation(table: JointTable, first: Iterable[int],
     seen: set[int] = set()
     for group in groups:
         for v in group:
-            if not (0 <= v < len(table.arities)):
-                raise ForeignNode(f"variable {v} is not in the joint table")
+            if type(v) is not int or not (0 <= v < len(table.arities)):
+                raise ForeignNode(f"variable {v!r} is not in the joint table")
             if v in seen:
                 raise ValueError("variable groups must be disjoint")
             seen.add(v)
@@ -298,7 +298,7 @@ class Theorem2Report:
 
 def _oracle_separated(dag: Dag, source: int, target: int,
                       cond: NodeSet) -> bool:
-    flags = descendant_table(dag, cond).flags
+    flags = descendant_table(dag, cond)
     return not any(_trail_active(t, flags, cond)
                    for t in _iter_simple_trails(dag, source, target))
 
@@ -350,6 +350,8 @@ def check_theorem2(dag: Dag, trials: int, seed: int, *,
     _check_trail_scale(dag, "numeric checking")
     if trials < 1:
         raise ValueError("need at least one trial network")
+    if soundness_tol < 0 or dependence_tol < 0:
+        raise ValueError("tolerance must be nonnegative")
     seed_rng = random.Random(f"{seed}:networks")
     net_seeds = [seed_rng.randrange(2 ** 32) for _ in range(trials)]
     tables = [joint(random_network(dag, 2, s)) for s in net_seeds]

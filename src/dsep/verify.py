@@ -122,8 +122,7 @@ def audit_dag(dag: Dag, queries: Iterable[SeparationQuery] | None = None,
             verdicts = {}
             for method, unconfined in (("fast", fast),
                                        ("faithful", faithful)):
-                early = is_dseparated(dag, statement, method=method,
-                                      early_stop=True)
+                early = is_dseparated(dag, statement, method=method)
                 full = alpha in unconfined
                 report.early_stop_checks += 1
                 if early != full:

@@ -109,6 +109,10 @@ class TestVerifyCommand:
         assert main(["verify", "--random", "4", "11", "--numeric"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_tolerance_is_a_usage_error(self, capsys):
+        assert main(["verify", DIAMOND4, "--numeric", "--tol", "-1"]) == 2
+        assert "tolerance must be nonnegative" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_table_output(self, capsys):

@@ -17,6 +17,8 @@ from dsep import (
     GraphSyntaxError,
     SelfLoop,
     UnknownEndpoint,
+    augment_dummies,
+    build_dag,
     load_graph_file,
     parse_graph,
     parse_graph_json,
@@ -269,6 +271,14 @@ class TestSerializeGraph:
     def test_empty_graph_serializes_to_empty_text(self):
         dag = parse_graph("")
         assert serialize_graph(dag) == ""
+
+    def test_unwritable_names_rejected_at_write_time(self):
+        with pytest.raises(GraphSyntaxError, match="'a b'") as caught:
+            serialize_graph(build_dag(["a b", "c"], [("a b", "c")]))
+        assert caught.value.line is None
+        augmented = augment_dummies(parse_graph("a -> b\n")).graph
+        with pytest.raises(GraphSyntaxError, match="prime"):
+            serialize_graph(augmented)
 
 
 @pytest.fixture(scope="module")

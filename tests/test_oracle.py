@@ -278,6 +278,14 @@ class TestCiChecks:
         with pytest.raises(ForeignNode):
             max_ci_violation(table, (0,), (9,))
 
+    def test_non_int_variable_ids_rejected(self):
+        table = joint(_collider_network())
+        for bad in (True, 1.0):
+            with pytest.raises(ForeignNode):
+                max_ci_violation(table, (0,), (bad,))
+            with pytest.raises(ForeignNode):
+                ci_holds(table, (0,), (2,), (bad,))
+
     def test_negative_tolerance_rejected(self):
         table = joint(_collider_network())
         with pytest.raises(ValueError):
@@ -312,6 +320,12 @@ class TestTheorem2Harness:
         big = Dag(13, [(i, i + 1) for i in range(12)])
         with pytest.raises(OracleScaleExceeded):
             check_theorem2(big, trials=1, seed=1)
+
+    def test_negative_tolerances_rejected(self, diamond4):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_theorem2(diamond4, trials=1, seed=1, soundness_tol=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_theorem2(diamond4, trials=1, seed=1, dependence_tol=-1e-9)
 
     def test_oracle_agrees_with_engine_verdicts(self, web7):
         report = check_theorem2(web7, trials=1, seed=7)

@@ -6,22 +6,21 @@ import dsep
 
 PUBLIC = (
     "AgreementReport", "AugmentedDag", "BenchReport", "BenchRow",
-    "CycleDetected", "Dag", "DescendantTable", "DiscreteNetwork",
-    "DoubledGraph", "DsepError", "DuplicateEdge", "EmptyStartSet",
-    "EndpointInConditioningSet", "ForeignNode", "GraphSyntaxError",
-    "IndependenceStatement", "JointTable", "MalformedTrail", "MoralGraph",
-    "NonAdjacentPair", "OracleScaleExceeded", "ReachabilityResult",
-    "SelfLoop", "SeparationQuery", "TableMismatch", "Theorem2Report",
+    "CycleDetected", "Dag", "DiscreteNetwork", "DoubledGraph", "DsepError",
+    "DuplicateEdge", "EmptyStartSet", "EndpointInConditioningSet",
+    "ForeignNode", "GraphSyntaxError", "IndependenceStatement", "JointTable",
+    "MalformedTrail", "MoralGraph", "OracleScaleExceeded",
+    "ReachabilityResult", "SelfLoop", "SeparationQuery", "Theorem2Report",
     "Trail", "UnknownEndpoint", "__version__", "ancestral_set", "audit_dag",
     "audit_random_corpus", "augment_dummies", "build_dag", "chain_dag",
     "check_theorem2", "ci_holds", "corpus_dag", "descendant_table",
-    "doubled_graph", "dsep_bruteforce", "dsep_legal_pair", "dsep_set",
-    "dsep_set_fast", "enumerate_simple_trails", "fast_sweep",
-    "find_reachable", "is_active_trail", "is_dseparated", "joint",
-    "load_graph_file", "max_ci_violation", "moral_check", "moralize",
-    "parse_graph", "parse_graph_json", "random_dag", "random_network",
-    "random_sparse_dag", "relevant_variables", "requisite_parameters",
-    "run_bench", "serialize_graph", "singleton_queries", "star_dag",
+    "doubled_graph", "dsep_bruteforce", "dsep_set", "dsep_set_fast",
+    "enumerate_simple_trails", "fast_sweep", "find_reachable",
+    "is_active_trail", "is_dseparated", "joint", "load_graph_file",
+    "max_ci_violation", "moral_check", "moralize", "parse_graph",
+    "parse_graph_json", "random_dag", "random_network", "random_sparse_dag",
+    "relevant_variables", "requisite_parameters", "run_bench",
+    "serialize_graph", "singleton_queries", "star_dag",
 )
 
 

@@ -66,10 +66,9 @@ class TestAuditDag:
         target = diamond4.node_id("4")
         real = dsep.verify.is_dseparated
 
-        def faulty(dag, statement, *, method="fast", early_stop=True):
-            verdict = real(dag, statement, method=method,
-                           early_stop=early_stop)
-            if early_stop and statement.targets == {target}:
+        def faulty(dag, statement, *, method="fast"):
+            verdict = real(dag, statement, method=method)
+            if statement.targets == {target}:
                 return not verdict
             return verdict
 
