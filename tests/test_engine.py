@@ -188,9 +188,17 @@ class TestLegalPair:
         second = _link("n5", "n3")  # reversed edge n3 -> n5
         assert _legal(web7, ids(web7, "n2", "n6"), first, second)
         assert not _legal(web7, ids(web7, "n2"), first, second)
+
+    def test_table_for_another_conditioning_set_rejected(self):
+        """Collider openness is read from the descendant table, so a table
+        built for another conditioning set gives that set's answer."""
+        dag = Dag(3, [(0, 2), (1, 2)])
+        observed = frozenset({2})
         # Link 0 runs 0 -> 2 and link 3 runs 2 -> 1 against edge (1, 2):
         # a collider at 2, open because 2 is observed.
-        assert _legal(Dag(3, [(0, 2), (1, 2)]), frozenset({2}), 0, 3)
+        assert _legality(dag, descendant_table(dag, observed), observed)(0, 3)
+        assert not _legality(dag, descendant_table(dag, frozenset()),
+                             observed)(0, 3)
 
     def test_pass_through_pair_blocked_by_observation(self, web7, ids):
         first = _link("n4", "n5")
