@@ -21,7 +21,7 @@ from .engine import (
 )
 from .errors import DsepError, OracleScaleExceeded
 from .graphio import load_graph_file
-from .oracle import TRAIL_NODE_LIMIT, check_theorem2
+from .oracle import TRAIL_NODE_LIMIT, _check_numeric_settings, check_theorem2
 from .requisite import relevant_variables, requisite_parameters
 from .verify import audit_dag, audit_random_corpus
 
@@ -86,6 +86,8 @@ def _cmd_requisite(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.numeric:        # a usage error, before any report line
+        _check_numeric_settings(args.trials, args.tol)
     if args.random is not None:
         if args.numeric:
             raise DsepError("--numeric needs a graph file, not --random")

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from itertools import chain
 from typing import Iterable, MutableSequence, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     CycleDetected,
@@ -53,15 +56,16 @@ class Dag:
     """
 
     __slots__ = ("node_count", "edges", "parents", "children", "names",
-                 "_name_to_id", "_doubled")
+                 "_name_to_id", "_doubled", "_arrays")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None) -> None:
         with _GcPaused():
-            if node_count < 0:
-                raise ValueError("node_count must be nonnegative")
+            if type(node_count) is not int or node_count < 0:
+                raise ValueError(
+                    f"node_count must be a nonnegative int, got {node_count!r}")
             self.node_count = node_count
-            self._doubled = None
+            self._doubled = self._arrays = None
 
             if names is None:
                 self.names = None
@@ -255,3 +259,21 @@ def doubled_graph(dag: Dag) -> DoubledGraph:
     if twin is None:
         twin = dag._doubled = DoubledGraph(dag)
     return twin
+
+
+def _csr(rows: Sequence[Sequence[int]], total: int) -> tuple[np.ndarray, np.ndarray]:
+    ptr = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum(np.fromiter(map(len, rows), np.int32, len(rows)), out=ptr[1:])
+    return ptr, np.fromiter(chain.from_iterable(rows), np.int32, total)
+
+
+def adjacency_arrays(dag: Dag) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """int32 CSR copies of `children` and `parents`, as (ptr, idx) pairs in
+    that order: row v is idx[ptr[v]:ptr[v + 1]], in tuple order.  Built on
+    the first call, which `fast_sweep` makes on a Dag's first wide frontier,
+    and kept, 4 * (2 * edges + 2 * nodes + 2) bytes, while the Dag lives."""
+    arrays = dag._arrays
+    if arrays is None:
+        m = len(dag.edges)
+        arrays = dag._arrays = (_csr(dag.children, m), _csr(dag.parents, m))
+    return arrays

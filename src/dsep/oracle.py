@@ -337,6 +337,14 @@ def sample_triples(dag: Dag, seed: int,
     return sorted(chosen, key=lambda t: (t[0], t[2], sorted(t[1])))
 
 
+def _check_numeric_settings(trials: int, *tolerances: float) -> None:
+    """Reject a trial count below one or a negative tolerance."""
+    if trials < 1:
+        raise ValueError("need at least one trial network")
+    if min(tolerances) < 0:
+        raise ValueError("tolerance must be nonnegative")
+
+
 def check_theorem2(dag: Dag, trials: int, seed: int, *,
                    max_triples: int = 64,
                    soundness_tol: float = 1e-9,
@@ -348,10 +356,7 @@ def check_theorem2(dag: Dag, trials: int, seed: int, *,
     the largest CI deviation per network.
     """
     _check_trail_scale(dag, "numeric checking")
-    if trials < 1:
-        raise ValueError("need at least one trial network")
-    if soundness_tol < 0 or dependence_tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    _check_numeric_settings(trials, soundness_tol, dependence_tol)
     seed_rng = random.Random(f"{seed}:networks")
     net_seeds = [seed_rng.randrange(2 ** 32) for _ in range(trials)]
     tables = [joint(random_network(dag, 2, s)) for s in net_seeds]

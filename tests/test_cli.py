@@ -111,7 +111,15 @@ class TestVerifyCommand:
 
     def test_negative_tolerance_is_a_usage_error(self, capsys):
         assert main(["verify", DIAMOND4, "--numeric", "--tol", "-1"]) == 2
-        assert "tolerance must be nonnegative" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "tolerance must be nonnegative" in err
+        assert out == ""
+
+    def test_zero_trials_is_a_usage_error(self, capsys):
+        assert main(["verify", DIAMOND4, "--numeric", "--trials", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert "at least one trial network" in err
+        assert out == ""
 
 
 class TestBenchCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from dsep import (
     descendant_table,
     doubled_graph,
 )
-from dsep.dag import checked_nodes
+from dsep.dag import adjacency_arrays, checked_nodes
 
 from .conftest import small_dags
 
@@ -120,6 +121,18 @@ class TestDagConstruction:
             Dag(2, [], names=["a", "a"])
         with pytest.raises(ValueError, match="^got 1 names for 2 nodes$"):
             Dag(2, [], names=["a"])
+
+    def test_node_count_bool_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Dag(True, [])
+
+    def test_node_count_float_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Dag(3.0, [])
+
+    def test_node_count_str_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Dag("3", [])
 
     def test_names_take_ids_by_position(self):
         # A mapping passed as `names` lends its keys, never its values.
@@ -225,3 +238,21 @@ class TestDoubledGraph:
         fresh = DoubledGraph(web7)
         assert twin.link_heads == fresh.link_heads
         assert twin.out_links == fresh.out_links
+
+
+class TestAdjacencyArrays:
+    def test_rows_match_the_tuples(self, web7):
+        (kid_ptr, kid_idx), (par_ptr, par_idx) = adjacency_arrays(web7)
+        for v in range(web7.node_count):
+            assert tuple(kid_idx[kid_ptr[v]:kid_ptr[v + 1]]) == web7.children[v]
+            assert tuple(par_idx[par_ptr[v]:par_ptr[v + 1]]) == web7.parents[v]
+        assert kid_idx.dtype == par_ptr.dtype == np.int32
+
+    def test_built_once_per_dag(self, web7):
+        assert adjacency_arrays(web7) is adjacency_arrays(web7)
+
+    def test_edgeless_and_empty_dags(self):
+        (ptr, idx), _ = adjacency_arrays(Dag(3, []))
+        assert ptr.tolist() == [0, 0, 0, 0] and len(idx) == 0
+        (ptr, idx), _ = adjacency_arrays(Dag(0, []))
+        assert ptr.tolist() == [0] and len(idx) == 0

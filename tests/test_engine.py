@@ -28,6 +28,7 @@ from dsep import (
     parse_graph,
     random_dag,
     random_sparse_dag,
+    relevant_variables,
     requisite_parameters,
     serialize_graph,
     star_dag,
@@ -485,3 +486,112 @@ class TestNonIntegerIds:
                  else SeparationQuery({2}, {bad}))
         with pytest.raises(ForeignNode):
             engine(self.DAG, query)
+
+
+def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
+                          level_min: int) -> FastSweep:
+    """An unconfined `fast_sweep` that hands its queue to numpy once
+    `level_min` states wait: 1 puts every level on arrays, and a huge
+    value runs the loop of confined sweeps instead."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dsep.engine._LEVEL_MIN", level_min)
+        return fast_sweep(dag, query)
+
+
+@st.composite
+def queries_on_larger_dags(draw: st.DrawFn, max_nodes: int = 400):
+    """A seeded random dag of up to `max_nodes` nodes plus a valid query."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    node_count = draw(st.integers(min_value=2, max_value=max_nodes))
+    degree = draw(st.floats(min_value=0.5, max_value=6.0))
+    dag = random_dag(rng, node_count, edge_prob=min(1.0, degree / node_count))
+    nodes = rng.sample(range(node_count), node_count)
+    n_src = draw(st.integers(1, min(3, node_count - 1)))
+    n_cond = draw(st.integers(0, min(20, node_count - n_src)))
+    return dag, SeparationQuery(nodes[:n_src], nodes[n_src:n_src + n_cond])
+
+
+def _windowed_dag(node_count: int, window: int, seed: int) -> Dag:
+    """Up to 3 parents per node, drawn from the `window` nodes before it."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, node_count):
+        lo = max(0, v - window)
+        k = min(v - lo, rng.choice((1, 2, 2, 3)))
+        edges.extend((p, v) for p in rng.sample(range(lo, v), k))
+    return Dag(node_count, edges)
+
+
+def _random_pairs_dag(node_count: int, edge_count: int, seed: int) -> Dag:
+    """A random parent below each node, then random pairs up to
+    `edge_count` edges, each pointing to the larger id."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, node_count)}
+    while len(edges) < edge_count:
+        a, b = rng.randrange(node_count), rng.randrange(node_count)
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return Dag(node_count, sorted(edges))
+
+
+class TestArrayLevels:
+    """Whole-graph sweeps expand wide BFS frontiers with numpy (`_expand_wide`)."""
+
+    @staticmethod
+    def _assert_paths_agree(dag: Dag, query: SeparationQuery) -> None:
+        scalar = _sweep_with_level_min(dag, query, 10**9)
+        for level_min in (1, 8):    # every level on arrays; only wide ones
+            swept = _sweep_with_level_min(dag, query, level_min)
+            assert swept.marks == scalar.marks
+            assert swept.links_examined == scalar.links_examined
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dags_with_query())
+    def test_every_level_on_arrays_matches_none(self, case):
+        dag, sources, conditioning = case
+        self._assert_paths_agree(dag, SeparationQuery(sources, conditioning))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=queries_on_larger_dags())
+    def test_every_level_on_arrays_matches_none_on_larger_dags(self, case):
+        self._assert_paths_agree(*case)
+
+    @pytest.mark.parametrize("make,queries", [
+        (lambda: star_dag(5000), [({1}, ()), ({1, 2}, (3,))]),
+        (lambda: star_dag(5000, hub_to_leaves=False), [({1}, (0,))]),
+        (lambda: _random_pairs_dag(20_000, 60_000, 1),
+         [({0}, ()), ({10_000}, (7, 900))]),
+    ])
+    def test_wide_graphs_match_the_faithful_engine(self, make, queries):
+        dag = make()
+        for sources, conditioning in queries:
+            query = SeparationQuery(sources, conditioning)
+            separated = dsep_set_fast(dag, query)
+            assert separated == dsep_set(dag, query)
+            assert relevant_variables(dag, query) == (
+                frozenset(range(dag.node_count)) - separated
+                - query.sources - query.conditioning)
+        assert dag._arrays is not None     # the arrays took a wide level
+
+    def test_confined_sweeps_never_build_the_arrays(self):
+        dag = _random_pairs_dag(20_000, 60_000, 1)
+        statement = IndependenceStatement({0}, {7, 900}, {dag.node_count - 1})
+        is_dseparated(dag, statement)
+        requisite_parameters(dag, statement.query())
+        assert dag._arrays is None
+        dsep_set_fast(dag, statement.query())
+        assert dag._arrays is not None
+
+    @pytest.mark.parametrize("make", [
+        lambda: chain_dag(10_000),
+        lambda: _windowed_dag(3_000, 12, 5),
+    ])
+    def test_narrow_graphs_never_build_the_arrays(self, make):
+        dag = make()
+        rng = random.Random(17)
+        for k in range(12):
+            picked = rng.sample(range(dag.node_count), 1 + 2 * k)
+            query = SeparationQuery(picked[:1], picked[1:])
+            dsep_set_fast(dag, query)
+            relevant_variables(dag, query)
+        assert dag._arrays is None
