@@ -52,11 +52,13 @@ class Dag:
 
     `parents` and `children` are exact transposes of the edge sequence,
     and acyclicity is checked eagerly at construction, so downstream
-    algorithms never re-validate.
+    algorithms never re-validate.  `_ranks` holds each node's block of a
+    topological order, as n bytes (see `_topological_ranks`), or None
+    below 128 nodes.
     """
 
     __slots__ = ("node_count", "edges", "parents", "children", "names",
-                 "_name_to_id", "_doubled", "_arrays")
+                 "_name_to_id", "_doubled", "_arrays", "_ranks")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None) -> None:
@@ -80,19 +82,24 @@ class Dag:
                 if len(self._name_to_id) != node_count:
                     raise ValueError("node names must be unique")
 
-            pairs = list(map(tuple, edges))
             parents: list[list[int]] = [[] for _ in range(node_count)]
             children: list[list[int]] = [[] for _ in range(node_count)]
-            for tail, head in pairs:
-                if not (type(tail) is int is type(head)
-                        and 0 <= tail < node_count and 0 <= head < node_count):
-                    raise UnknownEndpoint(
-                        f"edge ({tail!r}, {head!r}) needs int endpoints in "
-                        f"0..{node_count - 1}")
-                if tail == head:
-                    raise SelfLoop(f"self-loop on node {self.node_name(tail)}")
-                children[tail].append(head)
-                parents[head].append(tail)
+            try:
+                pairs = list(map(tuple, edges))
+                for tail, head in pairs:
+                    if not (type(tail) is int is type(head) and
+                            0 <= tail < node_count and 0 <= head < node_count):
+                        raise UnknownEndpoint(
+                            f"edge ({tail!r}, {head!r}) needs int endpoints "
+                            f"in 0..{node_count - 1}")
+                    if tail == head:
+                        raise SelfLoop(
+                            f"self-loop on node {self.node_name(tail)}")
+                    children[tail].append(head)
+                    parents[head].append(tail)
+            except (TypeError, ValueError):     # not an iterable of pairs
+                raise UnknownEndpoint(
+                    "edges must be (tail, head) pairs") from None
             # One bulk set build is cheaper than a membership test per edge.
             if len(set(pairs)) != len(pairs):
                 tail, head = next(e for e, k in Counter(pairs).items() if k > 1)
@@ -108,6 +115,10 @@ class Dag:
     # -- name handling -------------------------------------------------
 
     def node_name(self, node: int) -> str:
+        if type(node) is not int or not 0 <= node < self.node_count:
+            raise ForeignNode(
+                f"node {node!r} is not in the graph "
+                f"(node_count={self.node_count})")
         return self.names[node] if self.names is not None else str(node)
 
     def node_id(self, name: str) -> int:
@@ -141,6 +152,7 @@ class Dag:
             raise CycleDetected(
                 "graph contains a cycle: " + " -> ".join(names + [names[0]]),
                 cycle=tuple(names))
+        self._ranks = _topological_ranks(ready)
 
     def _find_cycle(self, indegree: list[int]) -> list[int]:
         # Every node still carrying in-degree has a parent that does too,
@@ -155,6 +167,23 @@ class Dag:
         loop = path[position[v]:]
         loop.reverse()  # parent pointers run against the edges
         return loop
+
+
+# A topological rank is a block of at least _RANK_BLOCK nodes of a
+# topological order, and there are at most 256 blocks: one byte each.
+_RANK_BLOCK = 64
+
+
+def _topological_ranks(order: list[int]) -> bytes | None:
+    """Each node's block of the topological `order`, so rank[tail] <=
+    rank[head] on every edge; None below two blocks."""
+    n = len(order)
+    if n < 2 * _RANK_BLOCK:
+        return None
+    ranks = np.empty(n, np.uint8)
+    block = max(_RANK_BLOCK, -(-n // 256))
+    ranks[np.fromiter(order, np.intp, n)] = np.arange(n) // block
+    return ranks.tobytes()
 
 
 def build_dag(node_names: Sequence[str],

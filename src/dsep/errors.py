@@ -41,7 +41,7 @@ class DuplicateEdge(DsepError):
 
 
 class UnknownEndpoint(DsepError):
-    """An edge references a node that was never declared."""
+    """An edge is not a (tail, head) pair of declared nodes."""
 
 
 class ForeignNode(DsepError):

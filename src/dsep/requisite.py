@@ -20,6 +20,9 @@ from itertools import compress
 from .dag import Dag, NodeSet
 from .engine import SeparationQuery, fast_sweep
 
+_REACHED_UNCONDITIONED = bytes(b & (8 | 16) != 0 and not b & 4
+                               for b in range(256))
+
 
 @dataclass(frozen=True)
 class AugmentedDag:
@@ -65,6 +68,10 @@ def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Base nodes whose observed values could still change the query answer.
 
     The complement of the separated set, minus the sources and the
-    conditioning set themselves.
+    conditioning set themselves: the nodes the sweep reached and did not
+    find conditioned.
     """
-    return fast_sweep(dag, query).reached - query.sources - query.conditioning
+    flags = fast_sweep(dag, query).marks.translate(_REACHED_UNCONDITIONED)
+    for v in query.sources:
+        flags[v] = 0
+    return frozenset(compress(range(dag.node_count), flags))

@@ -106,6 +106,20 @@ class TestDagConstruction:
         dag = Dag(2, [(0, 1)])
         assert dag.node_name(1) == "1"
 
+    @pytest.mark.parametrize("node", [-1, True, 3])
+    def test_node_name_rejects_foreign_ids(self, node):
+        with pytest.raises(ForeignNode):
+            build_dag(["a", "b", "c"], [("a", "b")]).node_name(node)
+
+    def test_unnamed_node_name_rejects_foreign_ids(self):
+        with pytest.raises(ForeignNode):
+            Dag(2, [(0, 1)]).node_name(7)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [5], 5])
+    def test_edge_that_is_no_pair_rejected(self, edges):
+        with pytest.raises(UnknownEndpoint, match="pairs"):
+            Dag(3, edges)
+
     def test_node_id_unknown_name(self, web7):
         with pytest.raises(ForeignNode):
             web7.node_id("nope")

@@ -595,3 +595,94 @@ class TestArrayLevels:
             dsep_set_fast(dag, query)
             relevant_variables(dag, query)
         assert dag._arrays is None
+
+
+def _shuffled(dag: Dag, seed: int) -> Dag:
+    """`dag` with its node ids permuted, so ids are no topological order."""
+    perm = list(range(dag.node_count))
+    random.Random(seed).shuffle(perm)
+    return Dag(dag.node_count, [(perm[t], perm[h]) for t, h in dag.edges])
+
+
+def _eager_sweep(dag: Dag, query: SeparationQuery, stop_at) -> FastSweep:
+    """`fast_sweep` marking all of An(stop_at | conditioning) first."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dag, "_ranks", None)
+        return fast_sweep(dag, query, stop_at=stop_at)
+
+
+@st.composite
+def confined_sweeps(draw: st.DrawFn):
+    """A dag, a valid query and a stop set: empty, one or three targets,
+    or holding a source.  Dags are small, or have 128-3,000 nodes:
+    windowed (parents from the 12 nodes before), random pairs (two edges
+    a node), both with shuffled ids, or chains."""
+    shape = draw(st.sampled_from(["small", "windowed", "pairs", "chain"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    if shape == "small":
+        dag, sources, conditioning = draw(dags_with_query())
+    else:
+        n = draw(st.integers(min_value=128, max_value=3_000))
+        dag = (chain_dag(n - 1) if shape == "chain" else _shuffled(
+            _windowed_dag(n, 12, seed) if shape == "windowed"
+            else _random_pairs_dag(n, 2 * n, seed), seed))
+        picked = rng.sample(range(n), 24)
+        sources = frozenset(picked[:draw(st.integers(1, 3))])
+        conditioning = frozenset(picked[3:3 + draw(st.integers(0, 20))])
+    rest = sorted(set(range(dag.node_count)) - sources - conditioning)
+    kind = draw(st.sampled_from(["empty", "one", "three", "source"]))
+    size = {"empty": 0, "one": 1}.get(kind, 3)
+    stop = set(rng.sample(rest, min(size, len(rest))))
+    if kind == "source":
+        stop.add(min(sources))
+    return dag, SeparationQuery(sources, conditioning), stop
+
+
+class TestLazyAncestralMarks:
+    """A confined sweep marks An(stop_at | conditioning) only on the
+    topological ranks it needs (`engine._resolve`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=confined_sweeps())
+    def test_lazy_marks_match_eager_marks(self, case):
+        dag, query, stop = case
+        lazy = fast_sweep(dag, query, stop_at=stop)
+        eager = _eager_sweep(dag, query, stop)
+        assert lazy.reached == eager.reached
+        assert lazy.links_examined == eager.links_examined
+        assert lazy.parents_expanded == eager.parents_expanded
+        assert bytes(m & ~3 for m in lazy.marks) == bytes(
+            m & ~3 for m in eager.marks)
+        assert not any(a & 3 & ~b for a, b in zip(lazy.marks, eager.marks))
+
+    @pytest.mark.parametrize("make", [
+        lambda: _shuffled(_windowed_dag(3_000, 12, 3), 3),
+        lambda: _shuffled(random_sparse_dag(60_000, 4), 4),
+        lambda: chain_dag(127),
+    ])
+    def test_ranks_follow_the_edges_in_at_most_256_blocks(self, make):
+        dag = make()
+        rank = dag._ranks
+        assert len(rank) == dag.node_count
+        assert all(rank[t] <= rank[h] for t, h in dag.edges)
+        blocks = sorted(set(rank))
+        assert blocks == list(range(len(blocks))) and len(blocks) <= 256
+        assert all(rank.count(b) >= 64 for b in blocks[:-1])  # the last is short
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 127])
+    def test_no_ranks_below_128_nodes(self, n):
+        assert Dag(n, [(v - 1, v) for v in range(1, n)])._ranks is None
+
+    def test_markov_statement_resolves_a_small_band(self):
+        dag = _windowed_dag(3_000, 12, 8)
+        y = 2_500
+        x = next(v for v in range(y - 3, 0, -1) if v not in dag.parents[y])
+        pa = frozenset(dag.parents[y])
+        statement = IndependenceStatement({y}, pa, {x})
+        assert is_dseparated(dag, statement)
+        lazy = fast_sweep(dag, statement.query(), stop_at={x}).marks
+        eager = _eager_sweep(dag, statement.query(), {x}).marks
+        band = ancestral_set(dag, pa | {x})
+        assert sum(eager[v] & 2 != 0 for v in band) == len(band)
+        assert sum(lazy[v] & 2 != 0 for v in band) < 0.1 * len(band)

@@ -137,6 +137,17 @@ class TestOneSweepAgainstAugmentedGraph:
             assert (fast_sweep(dag, query, stop_at=()).parents_expanded
                     == fast_sweep(dag, query).parents_expanded)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_relevant_variables_are_the_reached_set_difference(self, seed):
+        rng = random.Random(seed)
+        dag = (random_sparse_dag(rng.randint(10, 20_000), seed) if seed % 2
+               else random_dag(rng, rng.randint(2, 300), edge_prob=0.02))
+        for max_conditioning in (0, 3, 30):
+            query = random_query(rng, dag, max_conditioning)
+            assert relevant_variables(dag, query) == (
+                fast_sweep(dag, query).reached - query.sources
+                - query.conditioning)
+
     @pytest.mark.parametrize("observed_leaf", [False, True])
     def test_descendant_fan_outside_the_ancestral_set(self, observed_leaf):
         # Source 0 above a 400-node fan; 1 -> 1001 <- 0 is a collider that
