@@ -40,6 +40,7 @@ from .errors import (
     EndpointInConditioningSet,
     ForeignNode,
     GraphSyntaxError,
+    InvalidQuery,
     MalformedTrail,
     OracleScaleExceeded,
     SelfLoop,
@@ -87,6 +88,7 @@ __all__ = [
     "ForeignNode",
     "GraphSyntaxError",
     "IndependenceStatement",
+    "InvalidQuery",
     "JointTable",
     "MalformedTrail",
     "MoralGraph",

@@ -63,6 +63,8 @@ def build_instance(family: str, edge_count: int, seed: int
     The chain conditions on its midpoint so the sweep exercises both
     adjacency lists; star and random run unconditioned.
     """
+    if family in ("chain", "star") and edge_count < 2:  # 3 distinct nodes
+        raise ValueError(f"{family} needs edge_count at least 2, got {edge_count}")
     if family == "chain":
         dag = chain_dag(edge_count)
         cond = frozenset((dag.node_count // 2,))

@@ -272,14 +272,6 @@ class DoubledGraph:
         self.link_heads = tuple(heads)
         self.out_links = tuple(map(tuple, out))
 
-    @property
-    def link_count(self) -> int:
-        return len(self.link_heads)
-
-    def __repr__(self) -> str:
-        return (f"DoubledGraph(nodes={self.node_count}, "
-                f"links={self.link_count})")
-
 
 def doubled_graph(dag: Dag) -> DoubledGraph:
     """Both-orientations view of `dag` with exactly 2*|edges| links, built

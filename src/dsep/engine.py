@@ -11,9 +11,9 @@ Two interchangeable engines compute the full separated set:
 * `dsep_set_fast` runs directly on the dag with (node, arrival
   orientation) states and expands each of a node's two adjacency lists
   at most once, which bounds the link work by a small constant times
-  the edge count.  Its queue is walked in breadth-first order, and a
-  wide frontier is expanded level by level with numpy (as in Beamer et
-  al., SC 2012).
+  the edge count.  One per-state loop walks its queue in breadth-first
+  order, and hands a whole-graph sweep's wide frontiers to numpy, level
+  by level (as in Beamer et al., SC 2012).
 
 Both must agree everywhere; the test suite enforces that against an
 exhaustive trail oracle.
@@ -30,7 +30,7 @@ its sweep touches plus the rank band it resolves, not all of An(X | Y | Z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import length_hint
 from typing import Iterable
 
@@ -38,7 +38,8 @@ import numpy as np
 
 from .dag import (Dag, NodeSet, adjacency_arrays, checked_nodes,
                   descendant_table, doubled_graph, mark_ancestors)
-from .errors import EmptyStartSet, EndpointInConditioningSet, MalformedTrail
+from .errors import (EmptyStartSet, EndpointInConditioningSet, InvalidQuery,
+                     MalformedTrail)
 from .reachability import ReachabilityResult, find_reachable
 
 
@@ -50,12 +51,15 @@ class SeparationQuery:
     conditioning: NodeSet = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", frozenset(self.sources))
-        object.__setattr__(self, "conditioning", frozenset(self.conditioning))
+        try:
+            object.__setattr__(self, "sources", frozenset(self.sources))
+            object.__setattr__(self, "conditioning", frozenset(self.conditioning))
+        except TypeError as exc:    # not an iterable, or unhashable members
+            raise InvalidQuery(f"node sets must be sets of ids: {exc}") from None
         if not self.sources:
             raise EmptyStartSet("a separation query needs at least one source")
         if self.sources & self.conditioning:
-            raise ValueError("sources and conditioning set must be disjoint")
+            raise InvalidQuery("sources and conditioning set must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,20 @@ class IndependenceStatement:
     targets: NodeSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", frozenset(self.sources))
-        object.__setattr__(self, "conditioning", frozenset(self.conditioning))
-        object.__setattr__(self, "targets", frozenset(self.targets))
+        try:
+            object.__setattr__(self, "sources", frozenset(self.sources))
+            object.__setattr__(self, "conditioning", frozenset(self.conditioning))
+            object.__setattr__(self, "targets", frozenset(self.targets))
+        except TypeError as exc:
+            raise InvalidQuery(f"node sets must be sets of ids: {exc}") from None
         if not self.sources:
             raise EmptyStartSet("a statement needs at least one source")
         if not self.targets:
-            raise ValueError("a statement needs at least one target")
+            raise InvalidQuery("a statement needs at least one target")
         if (self.sources & self.conditioning or
                 self.sources & self.targets or
                 self.targets & self.conditioning):
-            raise ValueError("statement node sets must be pairwise disjoint")
+            raise InvalidQuery("statement node sets must be pairwise disjoint")
 
     def query(self) -> SeparationQuery:
         return SeparationQuery(self.sources, self.conditioning)
@@ -96,8 +103,12 @@ class Trail:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        try:
+            nodes, edges = tuple(self.nodes), tuple((t, h) for t, h in self.edges)
+        except (TypeError, ValueError):     # no sequences, or an edge no pair
+            raise MalformedTrail("trail edges must be (tail, head) pairs") from None
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     def head_to_head(self, position: int) -> bool:
         """Do both neighboring trail edges point into nodes[position]?"""
@@ -116,8 +127,7 @@ def _check_trail(dag: Dag, trail: Trail) -> None:
             f"and {len(edges)} edges")
     if len(checked_nodes(dag, nodes)) != len(nodes):
         raise MalformedTrail("trail repeats a node")
-    for i, edge in enumerate(edges):
-        tail, head = edge
+    for i, (tail, head) in enumerate(edges):
         if not dag.has_edge(tail, head):
             raise MalformedTrail(f"({tail}, {head}) is not an edge of the graph")
         if {tail, head} != {nodes[i], nodes[i + 1]}:
@@ -264,18 +274,21 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     `reached` and `links_examined` are those of marking A first.
 
     Without `stop_at`, on a graph of at least `_LEVEL_MIN` / 2 nodes (a
-    frontier holds at most two states a node), once `_LEVEL_MIN` states
-    wait in the queue the sweep expands them, and the levels after them,
-    with numpy until a level narrows, over the `adjacency_arrays` a Dag
-    builds on its first wide frontier.  The marks and the count are the
-    same either way.
+    frontier holds at most two states a node), the per-state loop reads
+    how many states wait after every `_CHUNK` states.  Once `_LEVEL_MIN`
+    wait, `_expand_wide` takes them, and the levels after them, with
+    numpy until a level narrows, over the `adjacency_arrays` a Dag builds
+    on its first wide frontier; the loop walks on from that level.  What
+    a whole-graph sweep reaches and walks does not depend on the order it
+    takes the states in, so the marks and the count are the same either way.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
     `marks[v]`: 1 in An(conditioning), an open collider when entered
     along an arrow; 2 in A, so child links may enter (every node without
     a stop set); 4 conditioned; 8 / 16 the state (v, arrived into v) / (v,
-    arrived out of v) queued; 32 children walked; 64 parents walked.  A
-    node is reached iff it has bit 8 or 16; the sources get both first.
+    arrived out of v) queued; 32 children walked; 64 parents walked; 128
+    in `stop_at`.  A node is reached iff it has bit 8 or 16; the sources
+    get both first.
     """
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
@@ -291,11 +304,13 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         if rank is None:
             mark_ancestors(dag, cond, mark, 1 | 2)
             mark_ancestors(dag, stop, mark, 2)
-        else:
             for v in stop:
-                mark[v] = 2
+                mark[v] |= 128
+        else:
             for v in cond:
                 mark[v] = 1 | 2
+            for v in stop:
+                mark[v] |= 2 | 128
             parked = [*cond, *stop]     # marked, parents not walked
             if parked:
                 top = bound = max(map(rank.__getitem__, parked)) + 1
@@ -305,52 +320,59 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     for j in sorted(sources):
         mark[j] |= 8 | 16
         queue.append(~j)
-    if stop_at is None and 2 * n >= _LEVEL_MIN:  # else none can be wide
-        return FastSweep(mark, _sweep_levels(dag, mark, queue))
     if not stop.isdisjoint(sources):
         return FastSweep(mark, 0)
-
+    chunk = _CHUNK if stop_at is None and 2 * n >= _LEVEL_MIN else None
     ops = 0
-    for state in queue:     # the list grows while it is walked: a FIFO queue
-        if state >= 0:
-            v = state
-            m = mark[v]
-            expand_in = m & 1
-        else:
-            v = ~state
-            m = mark[v]
-            expand_in = not m & 4
-            if bound and expand_in and rank[v] < bound:    # children unresolved
-                bound = _resolve(parents, rank, mark, parked, top, bound,
-                                 rank[v])
+    walk = chunk and iter(queue)
+    while True:     # once per chunk; a confined sweep takes its whole queue
+        # The list grows while it is walked: a FIFO queue.
+        for state in queue if chunk is None else islice(walk, chunk):
+            if state >= 0:
+                v = state
                 m = mark[v]
-        if not m & (4 | 32):
-            m |= 32
-            mark[v] = m
-            kids = children[v]
-            ops += len(kids)
-            for c in kids:      # arrives at c along an arrow into c
-                mc = mark[c]
-                if mc & (2 | 8) == 2:
-                    mark[c] = mc | 8
-                    queue.append(c)
-                    if c in stop:   # a first arrival: else the sweep had ended
-                        ops -= len(kids) - 1 - kids.index(c)
-                        return FastSweep(mark, ops)
-        if expand_in and not m & 64:
-            mark[v] = m | 64
-            ps = parents[v]
-            ops += len(ps)
-            for p in ps:        # arrives at p along an arrow out of p
-                mp = mark[p]
-                if not mp & 16:
-                    mark[p] = mp | 16
-                    queue.append(~p)
-                    if p in stop:
-                        ops -= len(ps) - 1 - ps.index(p)
-                        return FastSweep(mark, ops)
-
-    return FastSweep(mark, ops)
+                expand_in = m & 1
+            else:
+                v = ~state
+                m = mark[v]
+                expand_in = not m & 4
+                if bound and expand_in and rank[v] < bound:  # kids unresolved
+                    bound = _resolve(parents, rank, mark, parked, top, bound,
+                                     rank[v])
+                    m = mark[v]
+            if not m & (4 | 32):
+                m |= 32
+                mark[v] = m
+                kids = children[v]
+                ops += len(kids)
+                for c in kids:      # arrives at c along an arrow into c
+                    mc = mark[c]
+                    if mc & (2 | 8) == 2:
+                        mark[c] = mc | 8
+                        queue.append(c)
+                        if mc > 127:    # bit 128, a stop node (> beats &)
+                            ops -= len(kids) - 1 - kids.index(c)
+                            return FastSweep(mark, ops)
+            if expand_in and not m & 64:
+                mark[v] = m | 64
+                ps = parents[v]
+                ops += len(ps)
+                for p in ps:        # arrives at p along an arrow out of p
+                    mp = mark[p]
+                    if not mp & 16:
+                        mark[p] = mp | 16
+                        queue.append(~p)
+                        if mp > 127:
+                            ops -= len(ps) - 1 - ps.index(p)
+                            return FastSweep(mark, ops)
+        if chunk is None or not (waiting := length_hint(walk)):
+            return FastSweep(mark, ops)
+        if waiting >= _LEVEL_MIN:
+            queue, walked = _expand_wide(
+                adjacency_arrays(dag), np.frombuffer(mark, np.uint8),
+                np.empty(n, np.int32), queue[len(queue) - waiting:])
+            ops += walked
+            walk = iter(queue)
 
 
 def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
@@ -394,67 +416,10 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
 # sweep that skipped the adjacency tuples, a statement check on the same
 # dag, which walks them, ran 1.2x slower at 256 or 2048 and 1.07x at 4096.
 _LEVEL_MIN = 4096
-
-
-def _sweep_levels(dag: Dag, mark: bytearray, queue: list[int]) -> int:
-    """`fast_sweep` without a stop set, from the states in `queue` to the
-    end; returns `links_examined`.
-
-    It walks the queue one state at a time, in breadth-first order, until
-    `_LEVEL_MIN` states wait in it; `_expand_wide` then takes them, and
-    the levels after them, with numpy until a level narrows.  Which
-    states a sweep reaches, and which lists it walks, does not depend on
-    the order it takes them in, so both give the same marks and count.
-    """
-    parents, children = dag.parents, dag.children
-    wide = None
-    ops = 0
-    while True:
-        # Fewer than _LEVEL_MIN wait while len(queue) < limit, as the
-        # walked count only grows; `length_hint` reads the waiting count.
-        limit = _LEVEL_MIN
-        walk = iter(queue)
-        push = queue.append
-        for state in walk:  # the list grows while it is walked: a FIFO queue
-            if state >= 0:
-                v = state
-                m = mark[v]
-                expand_in = m & 1
-            else:
-                v = ~state
-                m = mark[v]
-                expand_in = not m & 4
-            if not m & (4 | 32):
-                m |= 32
-                mark[v] = m
-                kids = children[v]
-                ops += len(kids)
-                for c in kids:      # bit 2 is on everywhere without a stop set
-                    mc = mark[c]
-                    if not mc & 8:
-                        mark[c] = mc | 8
-                        push(c)
-            if expand_in and not m & 64:
-                mark[v] = m | 64
-                ps = parents[v]
-                ops += len(ps)
-                for p in ps:
-                    mp = mark[p]
-                    if not mp & 16:
-                        mark[p] = mp | 16
-                        push(~p)
-            if len(queue) >= limit:
-                waiting = length_hint(walk)
-                if waiting >= _LEVEL_MIN:
-                    break
-                limit = len(queue) - waiting + _LEVEL_MIN
-        else:
-            return ops
-        if wide is None:        # on the sweep's first wide frontier
-            wide = (adjacency_arrays(dag), np.frombuffer(mark, np.uint8),
-                    np.empty(len(mark), np.int32))
-        queue, walked = _expand_wide(*wide, queue[len(queue) - waiting:])
-        ops += walked
+# A whole-graph sweep reads its waiting count once per this many states.
+# On perfbench large-graph's whole-graph sweeps (5e4 nodes, 1e5 edges), a
+# chunk of 1 made them 1.3x slower than 256, and a chunk of 4096 1.1x.
+_CHUNK = 256
 
 
 def _expand_wide(arrays, mk, stamp, level: list[int]) -> tuple[list[int], int]:
@@ -538,4 +503,4 @@ def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
     if method == "faithful":
         return not (_faithful_sweep(dag, query, stop_at=targets).reached
                     & targets)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidQuery(f"unknown method {method!r}")

@@ -52,6 +52,10 @@ class EmptyStartSet(DsepError):
     """A reachability sweep or separation query was given no start nodes."""
 
 
+class InvalidQuery(DsepError, ValueError):
+    """A query's node sets are no sets of ids or overlap, or its method is unknown."""
+
+
 class MalformedTrail(DsepError):
     """A trail object does not describe a connected walk over distinct edges."""
 

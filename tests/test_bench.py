@@ -29,6 +29,15 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_instance("clique", 10, seed=0)
 
+    @pytest.mark.parametrize("family", ["chain", "star"])
+    def test_too_few_edges_name_the_minimum(self, family):
+        for edge_count in (0, 1):
+            with pytest.raises(ValueError, match=f"{family} needs edge_count "
+                                                 f"at least 2, got {edge_count}"):
+                run_bench(family, [edge_count])
+        (fast, *_) = run_bench(family, [2]).rows
+        assert fast.edge_count == 2
+
 
 class TestRunBench:
     def test_rows_cover_all_algorithms_per_size(self):

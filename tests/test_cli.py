@@ -137,6 +137,11 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", ","]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_too_small_size_names_the_minimum(self, capsys):
+        assert main(["bench", "--family", "chain", "--sizes", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: chain needs edge_count at least 2, got 1\n")
+
 
 class TestJsonInput:
     def test_json_flag_switches_parser(self, capsys, tmp_path):

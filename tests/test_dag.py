@@ -230,7 +230,7 @@ class TestAncestralSet:
 class TestDoubledGraph:
     def test_each_edge_yields_forward_and_reversed_link(self, diamond4):
         twin = doubled_graph(diamond4)
-        assert twin.link_count == 2 * len(diamond4.edges)
+        assert len(twin.link_heads) == 2 * len(diamond4.edges)
         for k, (tail, head) in enumerate(diamond4.edges):
             assert twin.link_heads[2 * k] == head
             assert twin.link_heads[2 * k + 1] == tail
@@ -244,7 +244,7 @@ class TestDoubledGraph:
                 assert web7.edges[lid >> 1][lid & 1] == v
         listed = sorted(lid for v in range(twin.node_count)
                         for lid in twin.out_links[v])
-        assert listed == list(range(twin.link_count))
+        assert listed == list(range(len(twin.link_heads)))
 
     def test_built_once_per_dag(self, web7):
         twin = doubled_graph(web7)

@@ -14,6 +14,7 @@ from dsep import (
     EndpointInConditioningSet,
     ForeignNode,
     IndependenceStatement,
+    InvalidQuery,
     MalformedTrail,
     SeparationQuery,
     Trail,
@@ -33,7 +34,9 @@ from dsep import (
     serialize_graph,
     star_dag,
 )
-from dsep.engine import FastSweep, _legality
+from dsep.engine import (_PARENTS_WALKED, _REACHED, _SEPARATED, FastSweep,
+                         _legality)
+from dsep.requisite import _REACHED_UNCONDITIONED
 
 from .conftest import dags_with_query
 
@@ -70,6 +73,18 @@ class TestQueryValidation:
     def test_sources_required(self):
         with pytest.raises(EmptyStartSet):
             SeparationQuery(frozenset())
+
+    @pytest.mark.parametrize("make", [
+        lambda: SeparationQuery([0], [0]),
+        lambda: IndependenceStatement([0], [], []),
+        lambda: SeparationQuery(5),
+        lambda: SeparationQuery([[1]]),
+        lambda: IndependenceStatement([0], [1], 2),
+    ], ids=["overlap", "no-target", "not-iterable", "unhashable",
+            "target-not-iterable"])
+    def test_malformed_queries_raise_invalid_query(self, make):
+        with pytest.raises(InvalidQuery):
+            make()
 
     def test_sources_and_conditioning_disjoint(self):
         with pytest.raises(ValueError):
@@ -142,6 +157,8 @@ class TestActiveTrail:
         ((0, True, 2), ((0, 1), (1, 2)), ForeignNode),  # bool id
         ((0.0, 1, 2), ((0, 1), (1, 2)), ForeignNode),   # float endpoint
         ((0, 1, 2), ((0, 1), (0, 1)), MalformedTrail),  # repeated edge
+        ((0, 1), ((0, 1, 2),), MalformedTrail),         # edge not a pair
+        ((0, 1), (5,), MalformedTrail),                 # edge not a sequence
     ])
     def test_malformed_trails_rejected(self, nodes, edges, error):
         dag = Dag(3, [(0, 1), (1, 2)])
@@ -387,6 +404,11 @@ class TestIsDseparated:
         with pytest.raises(ValueError):
             is_dseparated(web7, statement, method="psychic")
 
+    def test_unknown_method_is_an_invalid_query(self, web7):
+        statement = IndependenceStatement({0}, (), {1})
+        with pytest.raises(InvalidQuery, match="unknown method 'x'"):
+            is_dseparated(web7, statement, method="x")
+
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_query(), data=st.data())
     def test_early_stop_never_changes_the_verdict(self, case, data):
@@ -489,12 +511,14 @@ class TestNonIntegerIds:
 
 
 def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
-                          level_min: int) -> FastSweep:
+                          level_min: int, chunk: int = 256) -> FastSweep:
     """An unconfined `fast_sweep` that hands its queue to numpy once
-    `level_min` states wait: 1 puts every level on arrays, and a huge
-    value runs the loop of confined sweeps instead."""
+    `level_min` states wait, a count it reads after every `chunk` states:
+    both at 1 put every level on arrays, and a huge `level_min` or `chunk`
+    keeps the whole sweep in the per-state loop."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dsep.engine._LEVEL_MIN", level_min)
+        patch.setattr("dsep.engine._CHUNK", chunk)
         return fast_sweep(dag, query)
 
 
@@ -541,9 +565,10 @@ class TestArrayLevels:
     def _assert_paths_agree(dag: Dag, query: SeparationQuery) -> None:
         scalar = _sweep_with_level_min(dag, query, 10**9)
         for level_min in (1, 8):    # every level on arrays; only wide ones
-            swept = _sweep_with_level_min(dag, query, level_min)
-            assert swept.marks == scalar.marks
-            assert swept.links_examined == scalar.links_examined
+            for chunk in (1, 256, 10**9):
+                swept = _sweep_with_level_min(dag, query, level_min, chunk)
+                assert swept.marks == scalar.marks
+                assert swept.links_examined == scalar.links_examined
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_query())
@@ -581,6 +606,23 @@ class TestArrayLevels:
         assert dag._arrays is None
         dsep_set_fast(dag, statement.query())
         assert dag._arrays is not None
+
+    def test_confined_sweeps_never_go_wide(self, monkeypatch):
+        def wide(*args):
+            raise AssertionError("a confined sweep reached _expand_wide")
+
+        monkeypatch.setattr("dsep.engine._LEVEL_MIN", 1)
+        monkeypatch.setattr("dsep.engine._CHUNK", 1)
+        monkeypatch.setattr("dsep.engine._expand_wide", wide)
+        dag = _random_pairs_dag(5_000, 15_000, 2)
+        query = SeparationQuery(range(0, 5_000, 97), {7, 900})
+        for stop in ((), {4_999}, {4_000, 4_500}):
+            swept = fast_sweep(dag, query, stop_at=stop)
+            assert swept.links_examined > len(query.sources)
+        assert is_dseparated(dag, IndependenceStatement(
+            query.sources, query.conditioning, {4_999})) is False
+        requisite_parameters(dag, query)
+        assert dag._arrays is None
 
     @pytest.mark.parametrize("make", [
         lambda: chain_dag(10_000),
@@ -655,6 +697,14 @@ class TestLazyAncestralMarks:
         assert bytes(m & ~3 for m in lazy.marks) == bytes(
             m & ~3 for m in eager.marks)
         assert not any(a & 3 & ~b for a, b in zip(lazy.marks, eager.marks))
+        assert {v for v, m in enumerate(lazy.marks) if m & 128} == stop
+
+    def test_readings_ignore_the_stop_bit(self):
+        """Bit 128 marks the stop nodes; no answer read off the marks
+        (reached, parents walked, separated, relevant) may see it."""
+        for table in (_SEPARATED, _REACHED, _PARENTS_WALKED,
+                      _REACHED_UNCONDITIONED):
+            assert all(table[b] == table[b & 127] for b in range(256))
 
     @pytest.mark.parametrize("make", [
         lambda: _shuffled(_windowed_dag(3_000, 12, 3), 3),

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import dsep
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 PUBLIC = (
     "AgreementReport", "AugmentedDag", "BenchReport", "BenchRow",
     "CycleDetected", "Dag", "DiscreteNetwork", "DoubledGraph", "DsepError",
     "DuplicateEdge", "EmptyStartSet", "EndpointInConditioningSet",
-    "ForeignNode", "GraphSyntaxError", "IndependenceStatement", "JointTable",
-    "MalformedTrail", "MoralGraph", "OracleScaleExceeded",
+    "ForeignNode", "GraphSyntaxError", "IndependenceStatement", "InvalidQuery",
+    "JointTable", "MalformedTrail", "MoralGraph", "OracleScaleExceeded",
     "ReachabilityResult", "SelfLoop", "SeparationQuery", "Theorem2Report",
     "Trail", "UnknownEndpoint", "__version__", "ancestral_set", "audit_dag",
     "audit_random_corpus", "augment_dummies", "build_dag", "chain_dag",
@@ -33,3 +38,18 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in dsep.__all__:
         assert hasattr(dsep, name), name
+
+
+def test_every_traced_name_resolves():
+    """perfbench's tracer looks up each (module, attribute) it wraps, so a
+    name dropped from dsep breaks every traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module, attr, _ in spans.WRAPPED:
+        owner = importlib.import_module(f"dsep.{module}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"dsep.{module}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"dsep.{module}.{attr}"
