@@ -10,9 +10,7 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from itertools import chain
-from typing import Iterable, MutableSequence, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, MutableSequence, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
@@ -21,6 +19,9 @@ from .errors import (
     SelfLoop,
     UnknownEndpoint,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NodeSet = frozenset[int]
 
@@ -180,10 +181,12 @@ def _topological_ranks(order: list[int]) -> bytes | None:
     n = len(order)
     if n < 2 * _RANK_BLOCK:
         return None
-    ranks = np.empty(n, np.uint8)
+    ranks = bytearray(n)
     block = max(_RANK_BLOCK, -(-n // 256))
-    ranks[np.fromiter(order, np.intp, n)] = np.arange(n) // block
-    return ranks.tobytes()
+    for r, start in enumerate(range(0, n, block)):
+        for v in order[start:start + block]:
+            ranks[v] = r
+    return bytes(ranks)
 
 
 def build_dag(node_names: Sequence[str],
@@ -212,19 +215,25 @@ def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:
 
 
 def mark_ancestors(dag: Dag, members: Iterable[int],
-                   marks: MutableSequence[int], bit: int = 1) -> list[int]:
-    """Set `bit` in `marks` on valid ids `members` and all their ancestors.
+                   marks: MutableSequence[int], bit: int = 1,
+                   tag: int = False) -> list[int]:
+    """Set `bit` in `marks` on valid ids `members` and all their ancestors,
+    and `tag` on the members alone.
 
     One reverse breadth-first walk that stops at nodes already holding
     any bit of `bit`; returns the nodes it marked.  `marks` is a bytearray
-    or, with `bit=True`, a list of bools (cheaper on small graphs).
+    or, with `bit=True` and no `tag`, a list of bools (cheaper on small
+    graphs; the default `tag` is False, not 0, as True | 0 is the int 1).
     """
     parents = dag.parents
     found = []
     for v in members:
-        if not marks[v] & bit:
-            marks[v] |= bit
+        m = marks[v]
+        if not m & bit:
+            marks[v] = m | bit | tag
             found.append(v)
+        elif tag:
+            marks[v] = m | tag
     for v in found:     # the list grows while it is walked: a FIFO queue
         for p in parents[v]:
             if not marks[p] & bit:
@@ -283,6 +292,7 @@ def doubled_graph(dag: Dag) -> DoubledGraph:
 
 
 def _csr(rows: Sequence[Sequence[int]], total: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     ptr = np.zeros(len(rows) + 1, np.int32)
     np.cumsum(np.fromiter(map(len, rows), np.int32, len(rows)), out=ptr[1:])
     return ptr, np.fromiter(chain.from_iterable(rows), np.int32, total)
@@ -292,7 +302,8 @@ def adjacency_arrays(dag: Dag) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """int32 CSR copies of `children` and `parents`, as (ptr, idx) pairs in
     that order: row v is idx[ptr[v]:ptr[v + 1]], in tuple order.  Built on
     the first call, which `fast_sweep` makes on a Dag's first wide frontier,
-    and kept, 4 * (2 * edges + 2 * nodes + 2) bytes, while the Dag lives."""
+    and kept, 4 * (2 * edges + 2 * nodes + 2) bytes, while the Dag lives.
+    numpy is imported then, not with the package."""
     arrays = dag._arrays
     if arrays is None:
         m = len(dag.edges)

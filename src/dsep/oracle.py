@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .dag import Dag, NodeSet, checked_nodes, descendant_table
 from .engine import SeparationQuery, Trail, _trail_active
 from .errors import ForeignNode, OracleScaleExceeded
+
+if TYPE_CHECKING:   # the numeric functions import numpy when first called
+    import numpy as np
 
 TRAIL_NODE_LIMIT = 12          # largest graph the trail enumerator accepts
 JOINT_SIZE_LIMIT = 1 << 20     # largest joint table (number of entries)
@@ -108,6 +109,7 @@ class DiscreteNetwork:
     cpts: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
         object.__setattr__(self, "arities", tuple(self.arities))
         object.__setattr__(self, "cpts", tuple(self.cpts))
         n = self.dag.node_count
@@ -144,6 +146,7 @@ def random_network(dag: Dag, arity: int, seed: int) -> DiscreteNetwork:
     Rows are drawn uniformly from [0.1, 1.0] and normalized, keeping
     every configuration possible and no row degenerate.
     """
+    import numpy as np
     if arity < 2:
         raise ValueError("arity must be at least 2")
     arities = (arity,) * dag.node_count
@@ -165,6 +168,7 @@ class JointTable:
     arities: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
         object.__setattr__(self, "arities", tuple(self.arities))
         if self.probs.shape != self.arities:
             raise ValueError(
@@ -181,6 +185,7 @@ class JointTable:
 
 def joint(network: DiscreteNetwork) -> JointTable:
     """Multiply every conditional table out into the full joint."""
+    import numpy as np
     arities = network.arities
     _check_joint_size(arities)
     n = network.dag.node_count
@@ -201,6 +206,7 @@ def joint(network: DiscreteNetwork) -> JointTable:
 
 def _grouped_marginal(table: JointTable, groups: Sequence[Sequence[int]]):
     """Collapse the joint onto the given variable groups, one axis per group."""
+    import numpy as np
     flat = [v for group in groups for v in group]
     rest = [v for v in range(len(table.arities)) if v not in set(flat)]
     arr = np.transpose(table.probs, flat + rest)
@@ -213,6 +219,7 @@ def max_ci_violation(table: JointTable, first: Iterable[int],
                      second: Iterable[int],
                      conditioning: Iterable[int] = ()) -> float:
     """Largest |P(a,b|c) - P(a|c) P(b|c)| over assignments with P(c) > 0."""
+    import numpy as np
     a_vars = sorted(set(first))
     b_vars = sorted(set(second))
     c_vars = sorted(set(conditioning))

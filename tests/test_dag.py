@@ -22,7 +22,7 @@ from dsep import (
     descendant_table,
     doubled_graph,
 )
-from dsep.dag import adjacency_arrays, checked_nodes
+from dsep.dag import adjacency_arrays, checked_nodes, mark_ancestors
 
 from .conftest import small_dags
 
@@ -209,6 +209,22 @@ class TestDescendantTable:
         table = descendant_table(dag, conditioning)
         assert {v for v in nodes if table[v]} == set(
             ancestral_set(dag, conditioning))
+
+
+class TestMarkAncestors:
+    def test_tag_goes_on_the_members_alone(self):
+        dag = Dag(4, [(0, 1), (1, 2), (1, 3)])
+        marks = bytearray(4)
+        marks[3] = 2    # a member already holding the bit keeps its walk undone
+        found = mark_ancestors(dag, {2, 3}, marks, 2, 128)
+        assert found == [2, 1, 0]
+        assert list(marks) == [2, 2, 2 | 128, 2 | 128]
+
+    def test_bool_marks_stay_bools(self):
+        flags = [False] * 3
+        mark_ancestors(Dag(3, [(0, 1)]), {1}, flags, True)
+        assert flags == [True, True, False]
+        assert all(type(f) is bool for f in flags)
 
 
 class TestAncestralSet:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsep
 from dsep import (
     Dag,
     EmptyStartSet,
@@ -26,6 +31,7 @@ from dsep import (
     fast_sweep,
     is_active_trail,
     is_dseparated,
+    moral_check,
     parse_graph,
     random_dag,
     random_sparse_dag,
@@ -511,7 +517,8 @@ class TestNonIntegerIds:
 
 
 def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
-                          level_min: int, chunk: int = 256) -> FastSweep:
+                          level_min: int, chunk: int = 256,
+                          budget: int | None = None) -> FastSweep:
     """An unconfined `fast_sweep` that hands its queue to numpy once
     `level_min` states wait, a count it reads after every `chunk` states:
     both at 1 put every level on arrays, and a huge `level_min` or `chunk`
@@ -519,7 +526,7 @@ def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dsep.engine._LEVEL_MIN", level_min)
         patch.setattr("dsep.engine._CHUNK", chunk)
-        return fast_sweep(dag, query)
+        return fast_sweep(dag, query, budget=budget)
 
 
 @st.composite
@@ -736,3 +743,198 @@ class TestLazyAncestralMarks:
         band = ancestral_set(dag, pa | {x})
         assert sum(eager[v] & 2 != 0 for v in band) == len(band)
         assert sum(lazy[v] & 2 != 0 for v in band) < 0.1 * len(band)
+
+
+def _reaches(swept: FastSweep, stop) -> bool:
+    return any(swept.marks[v] & (8 | 16) for v in stop)
+
+
+@st.composite
+def set_statements(draw: st.DrawFn, min_nodes: int, max_nodes: int):
+    """A dag of `min_nodes` to `max_nodes` nodes, windowed (parents from the
+    12 nodes before) or random pairs (two edges a node), ids shuffled, and
+    a statement with set-valued X, Y and Z: random sets, or a Markov
+    statement X _||_ y | pa(y), the shape whose two sides cost the most
+    unequally."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    dag = _shuffled(
+        _windowed_dag(n, 12, seed) if draw(st.booleans())
+        else _random_pairs_dag(n, min(2 * n, n * (n - 1) // 2), seed), seed)
+    n_x = draw(st.integers(1, min(3, n - 1)))
+    if draw(st.booleans()):     # Markov
+        y = rng.randrange(n)
+        z = frozenset(dag.parents[y])
+        rest = sorted(set(range(n)) - z - {y})
+        if not rest:
+            return dag, IndependenceStatement(z, (), {y})
+        return dag, IndependenceStatement(
+            rng.sample(rest, min(n_x, len(rest))), z, {y})
+    picked = rng.sample(range(n), n)
+    n_y = draw(st.integers(1, min(3, n - n_x)))
+    n_z = draw(st.integers(0, min(20, n - n_x - n_y)))
+    return dag, IndependenceStatement(
+        picked[:n_x], picked[n_x + n_y:n_x + n_y + n_z],
+        picked[n_x:n_x + n_y])
+
+
+def _record_sweeps(monkeypatch) -> list[tuple[frozenset, int, int]]:
+    """Record each `fast_sweep` a check makes: (sources, budget, links)."""
+    calls = []
+    sweep = dsep.engine.fast_sweep
+
+    def recorded(dag, query, stop_at=None, *, budget=None):
+        swept = sweep(dag, query, stop_at, budget=budget)
+        calls.append((frozenset(query.sources), budget, swept.links_examined))
+        return swept
+
+    monkeypatch.setattr("dsep.engine.fast_sweep", recorded)
+    return calls
+
+
+class TestTwoSidedChecks:
+    """`is_dseparated` sweeps from X and from Y under a growing budget;
+    d-separation's symmetry (Pearl & Paz, 1987) is the referee."""
+
+    @staticmethod
+    def _assert_symmetric(dag: Dag, statement: IndependenceStatement) -> None:
+        x, z, y = statement.sources, statement.conditioning, statement.targets
+        from_x = fast_sweep(dag, SeparationQuery(x, z), stop_at=y)
+        from_y = fast_sweep(dag, SeparationQuery(y, z), stop_at=x)
+        verdict = is_dseparated(dag, statement)
+        assert _reaches(from_x, y) == _reaches(from_y, x) == (not verdict)
+        assert moral_check(dag, statement) == verdict
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=set_statements(3, 127))
+    def test_both_sides_agree_on_eagerly_marked_dags(self, case):
+        assert case[0]._ranks is None
+        self._assert_symmetric(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=set_statements(128, 5_000))
+    def test_both_sides_agree_on_lazily_marked_dags(self, case):
+        assert case[0]._ranks is not None
+        self._assert_symmetric(*case)
+
+    @pytest.mark.parametrize("fan,sweeps", [(64, [64]), (65, [65, 0])])
+    def test_a_side_finishing_at_its_budget_is_read(self, monkeypatch, fan,
+                                                    sweeps):
+        # 0 -> 2..fan+1, and 1 on its own: from 0 the sweep counts the
+        # fan's links and follows none; from 1 it has no link to count.
+        dag = Dag(fan + 2, [(0, 2 + i) for i in range(fan)])
+        calls = _record_sweeps(monkeypatch)
+        assert is_dseparated(dag, IndependenceStatement({0}, (), {1}))
+        assert [links for _, _, links in calls] == sweeps
+
+    def test_markov_statement_alternates_sides_and_budgets(self, monkeypatch):
+        dag = _windowed_dag(3_000, 12, 8)
+        y = 2_500
+        x = next(v for v in range(y - 3, 0, -1) if v not in dag.parents[y])
+        statement = IndependenceStatement({x}, dag.parents[y], {y})
+        from_x = fast_sweep(dag, statement.query(), stop_at={y})
+        calls = _record_sweeps(monkeypatch)
+        assert is_dseparated(dag, statement)
+        assert [sources for sources, _, _ in calls] == [
+            {x} if k % 2 == 0 else {y} for k in range(len(calls))]
+        assert len(calls) > 1       # answered from y
+        budgets = [budget for _, budget, _ in calls]
+        assert budgets == [64 * 4 ** (k // 2) for k in range(len(calls))]
+        assert calls[-1][2] <= budgets[-1]      # the last side finished
+        assert all(links > budget for _, budget, links in calls[:-1])
+        examined = sum(min(links, budget) for _, budget, links in calls)
+        assert examined < 0.1 * from_x.links_examined
+
+    def test_the_faithful_method_sweeps_from_x_alone(self, monkeypatch):
+        starts = []
+        reachable = dsep.engine.find_reachable
+
+        def recorded(graph, legal, sources, stop_at=None):
+            starts.append(frozenset(sources))
+            return reachable(graph, legal, sources, stop_at=stop_at)
+
+        monkeypatch.setattr("dsep.engine.find_reachable", recorded)
+        dag = _windowed_dag(400, 12, 2)
+        statement = IndependenceStatement({3}, dag.parents[390], {390})
+        assert is_dseparated(dag, statement, method="faithful")
+        assert starts == [{3}]
+
+
+class TestSweepBudget:
+    """`fast_sweep(..., budget=b)` either finishes as it would without a
+    budget, or stops with `links_examined > b` and partial marks."""
+
+    @staticmethod
+    def _assert_contract(full: FastSweep, swept: FastSweep,
+                         budget: int) -> None:
+        assert type(swept) is FastSweep
+        if swept.links_examined <= budget:
+            assert swept.links_examined == full.links_examined
+            assert swept.marks == full.marks
+        else:
+            assert budget < full.links_examined or any(
+                m & 128 and m & (8 | 16) for m in full.marks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=confined_sweeps(), data=st.data())
+    def test_confined_sweeps_keep_the_contract(self, case, data):
+        dag, query, stop = case
+        full = fast_sweep(dag, query, stop_at=stop)
+        links = full.links_examined
+        drawn = data.draw(st.integers(0, links + 3))
+        longest = max(map(len, dag.children + dag.parents), default=0)
+        for budget in {0, drawn, links, 2 * len(dag.edges)}:
+            swept = fast_sweep(dag, query, stop_at=stop, budget=budget)
+            self._assert_contract(full, swept, budget)
+            # it stopped before walking the one list that passed the budget
+            assert swept.links_examined <= budget + longest
+        if not _reaches(full, stop):    # it ran out of states: no stop hit
+            at = fast_sweep(dag, query, stop_at=stop, budget=links)
+            assert at.links_examined == links and at.marks == full.marks
+            if links:
+                short = fast_sweep(dag, query, stop_at=stop, budget=links - 1)
+                assert short.links_examined > links - 1
+
+    @pytest.mark.parametrize("level_min,chunk", [(10**9, 256), (1, 1), (8, 1)])
+    def test_whole_graph_sweeps_keep_the_contract(self, level_min, chunk):
+        dag = _random_pairs_dag(400, 1_200, 3)
+        query = SeparationQuery({0, 200}, {5, 9, 300})
+        full = _sweep_with_level_min(dag, query, level_min, chunk)
+        links = full.links_examined
+        for budget in range(0, links + 2, 37):
+            swept = _sweep_with_level_min(dag, query, level_min, chunk, budget)
+            self._assert_contract(full, swept, budget)
+        assert _sweep_with_level_min(dag, query, level_min, chunk,
+                                     links).marks == full.marks
+        assert _sweep_with_level_min(dag, query, level_min, chunk,
+                                     links - 1).links_examined > links - 1
+
+    @pytest.mark.parametrize("n", [4, 200])     # eager and lazy marking
+    @pytest.mark.parametrize("budget", [0, 1, None])
+    def test_a_source_in_stop_at_ends_before_its_first_link(self, n, budget):
+        swept = fast_sweep(chain_dag(n), SeparationQuery({2}), stop_at={2, 4},
+                           budget=budget)
+        assert swept.links_examined == 0
+        assert swept.reached == {2}
+
+
+def test_checks_and_narrow_sweeps_leave_numpy_unloaded():
+    """numpy is imported on a whole-graph sweep's first wide frontier, not
+    by `import dsep`, a check or a sweep that never goes wide."""
+    code = "\n".join([
+        "import sys, dsep",
+        "dag = dsep.random_sparse_dag(6_000, seed=3)",
+        "assert dag.node_count == 3_000 and dag._ranks is not None",
+        "dsep.is_dseparated(dag, dsep.IndependenceStatement({0}, {5}, {2999}))",
+        "dsep.dsep_set_fast(dag, dsep.SeparationQuery({0}, {5, 7}))",
+        "print('numpy' in sys.modules)",
+        "dsep.dsep_set_fast(dsep.star_dag(5_000), dsep.SeparationQuery({1}))",
+        "print('numpy' in sys.modules)",
+    ])
+    src = str(Path(dsep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
