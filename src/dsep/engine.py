@@ -294,14 +294,14 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     and 2 are then set only on the resolved ranks.  The other bits,
     `reached` and `links_examined` are those of marking A first.
 
-    Without `stop_at`, on a graph of at least `_LEVEL_MIN` / 2 nodes (a
-    frontier holds at most two states a node), the per-state loop reads
-    how many states wait after every `_CHUNK` states.  Once `_LEVEL_MIN`
-    wait, `_expand_wide` takes them, and the levels after them, with
-    numpy until a level narrows, over the `adjacency_arrays` a Dag builds
-    on its first wide frontier; the loop walks on from that level.  What
-    a whole-graph sweep reaches and walks does not depend on the order it
-    takes the states in, so the marks and the count are the same either way.
+    Without `stop_at`, on a graph of at least `_WIDE_NODES` nodes, the
+    per-state loop reads how many states wait after every `_CHUNK` states.
+    Once `_LEVEL_MIN` wait, `_expand_wide` takes them, and the levels after
+    them, with numpy until a level narrows, over the `adjacency_arrays` a
+    Dag builds on its first wide frontier; the loop walks on from that
+    level.  What a whole-graph sweep reaches and walks does not depend on
+    the order it takes the states in, so the marks and the count are the
+    same either way.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
     `marks[v]`: 1 in An(conditioning), an open collider when entered
@@ -341,7 +341,7 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         queue.append(~j)
     if not stop.isdisjoint(sources):
         return FastSweep(mark, 0)
-    chunk = _CHUNK if stop_at is None and 2 * n >= _LEVEL_MIN else None
+    chunk = _CHUNK if stop_at is None and n >= _WIDE_NODES else None
     ops = 0
     walk = chunk and iter(queue)
     while True:     # once per chunk; a confined sweep takes its whole queue
@@ -433,11 +433,14 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
 
 
 # Once this many states wait in a whole-graph sweep's queue, numpy expands
-# them.  On a random dag of 50,000 nodes and 10^5 edges, a threshold of 256
-# made its sweeps 4.5x faster and 4096 made them 2x faster, but after a
-# sweep that skipped the adjacency tuples, a statement check on the same
-# dag, which walks them, ran 1.2x slower at 256 or 2048 and 1.07x at 4096.
-_LEVEL_MIN = 4096
+# them.  On perfbench large-graph (5e4 nodes, 1e5 edges), 256 rather than
+# 4096 cut its whole-graph queries from 12.6 to 5.6 ms (medians); its
+# checks, which walk the adjacency tuples numpy skipped, read 2% slower.
+_LEVEL_MIN = 256
+# Only graphs of this many nodes go wide.  Below it a frontier of a few
+# hundred states costs numpy about what it costs the loop, and numpy's
+# import (100-150 ms and 14 MB) is never paid back.
+_WIDE_NODES = 2048
 # A whole-graph sweep reads its waiting count once per this many states.
 # On perfbench large-graph's whole-graph sweeps (5e4 nodes, 1e5 edges), a
 # chunk of 1 made them 1.3x slower than 256, and a chunk of 4096 1.1x.
@@ -504,11 +507,21 @@ def _first_arrivals(mk: np.ndarray, stamp: np.ndarray, nodes: np.ndarray,
     return new
 
 
+def flagged_nodes(dag: Dag, flags: bytes | bytearray) -> frozenset[int]:
+    """The ids v with `flags[v]` nonzero.  Once `dag` holds its arrays,
+    numpy is loaded, and `flatnonzero` reads a sparse set off 50,000 flags
+    10x faster than `compress` (a dense one at par)."""
+    if dag._arrays is None:
+        return frozenset(compress(range(dag.node_count), flags))
+    import numpy as np
+    return frozenset(np.flatnonzero(np.frombuffer(flags, np.uint8)).tolist())
+
+
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Same value as `dsep_set` in O(node_count + edge_count): the nodes the
     sweep neither queued nor found conditioned (no mark bit 4, 8 or 16)."""
     flags = fast_sweep(dag, query).marks.translate(_SEPARATED)
-    return frozenset(compress(range(dag.node_count), flags))
+    return flagged_nodes(dag, flags)
 
 
 class _FromTargets(NamedTuple):

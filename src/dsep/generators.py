@@ -80,6 +80,9 @@ def random_sparse_dag(edge_count: int, seed: int) -> Dag:
     if edge_count < 10:
         raise ValueError("edge_count must be at least 10")
     node_count = edge_count // 2
+    if node_count * (node_count - 1) // 2 < edge_count:    # only 11 fails
+        raise ValueError(f"{node_count} nodes cannot hold {edge_count} "
+                         f"forward edges")
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(node_count - 1)]
     present = set(edges)

@@ -15,10 +15,9 @@ the base dag.  This is the "top mark" of Shachter's Bayes-Ball (UAI
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .dag import Dag, NodeSet
-from .engine import SeparationQuery, fast_sweep
+from .engine import SeparationQuery, fast_sweep, flagged_nodes
 
 _REACHED_UNCONDITIONED = bytes(b & (8 | 16) != 0 and not b & 4
                                for b in range(256))
@@ -61,7 +60,7 @@ def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
     the sweep is confined to that set (an empty stop set).
     """
     marks = fast_sweep(dag, query, stop_at=()).parents_expanded
-    return frozenset(compress(range(dag.node_count), marks))
+    return flagged_nodes(dag, marks)
 
 
 def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:
@@ -74,4 +73,4 @@ def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:
     flags = fast_sweep(dag, query).marks.translate(_REACHED_UNCONDITIONED)
     for v in query.sources:
         flags[v] = 0
-    return frozenset(compress(range(dag.node_count), flags))
+    return flagged_nodes(dag, flags)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dsep
 from dsep.cli import main
 
 from .conftest import DATA_DIR
@@ -141,6 +147,18 @@ class TestBenchCommand:
         assert main(["bench", "--family", "chain", "--sizes", "1"]) == 2
         assert capsys.readouterr().err == (
             "error: chain needs edge_count at least 2, got 1\n")
+
+    def test_random_size_its_nodes_cannot_hold_fails_at_once(self):
+        src = str(Path(dsep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "dsep.cli", "bench", "--family", "random",
+             "--sizes", "11"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == "error: 5 nodes cannot hold 11 forward edges\n"
+        assert done.stdout == ""
 
 
 class TestJsonInput:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,9 @@ from dsep import (
     serialize_graph,
     star_dag,
 )
+from dsep.dag import adjacency_arrays
 from dsep.engine import (_PARENTS_WALKED, _REACHED, _SEPARATED, FastSweep,
-                         _legality)
+                         _legality, flagged_nodes)
 from dsep.requisite import _REACHED_UNCONDITIONED
 
 from .conftest import dags_with_query
@@ -522,9 +524,12 @@ def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
     """An unconfined `fast_sweep` that hands its queue to numpy once
     `level_min` states wait, a count it reads after every `chunk` states:
     both at 1 put every level on arrays, and a huge `level_min` or `chunk`
-    keeps the whole sweep in the per-state loop."""
+    keeps the whole sweep in the per-state loop.  The node gate goes to
+    `level_min` / 2 (a frontier holds at most two states a node), so with
+    a small `level_min` graphs of any size can go wide."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dsep.engine._LEVEL_MIN", level_min)
+        patch.setattr("dsep.engine._WIDE_NODES", (level_min + 1) // 2)
         patch.setattr("dsep.engine._CHUNK", chunk)
         return fast_sweep(dag, query, budget=budget)
 
@@ -651,6 +656,70 @@ def _shuffled(dag: Dag, seed: int) -> Dag:
     perm = list(range(dag.node_count))
     random.Random(seed).shuffle(perm)
     return Dag(dag.node_count, [(perm[t], perm[h]) for t, h in dag.edges])
+
+
+class TestWideSweepsAtDefaultSettings:
+    """At the default thresholds, whole-graph sweeps of large dags go wide
+    and read their answer sets off the marks with numpy; answers, marks
+    and counts stay those of the per-state loop alone."""
+
+    @staticmethod
+    def _queries(n: int, seed: int, count: int):
+        """`count` queries of 1-3 sources, |Z| spread over 0..20."""
+        rng = random.Random(seed)
+        for k in range(count):
+            picked = rng.sample(range(n), 23)
+            cut = rng.randint(1, 3)
+            size = round(20 * k / (count - 1))
+            yield SeparationQuery(picked[:cut], picked[cut:cut + size])
+
+    @pytest.mark.parametrize("edge_count,seed,count", [
+        (10_000, 31, 32),
+        (100_000, 32, 10),     # about 0.5 s a query
+    ])
+    def test_answers_marks_and_counts_match_the_loop(self, edge_count, seed,
+                                                     count):
+        """`loop_only` never builds arrays, so it also reads its answer
+        sets off the marks with `compress`."""
+        edges = _shuffled(random_sparse_dag(edge_count, seed), seed).edges
+        n = edge_count // 2
+        dag, loop_only = Dag(n, edges), Dag(n, edges)
+        for query in self._queries(n, seed, count):
+            wide = fast_sweep(dag, query)
+            loop = _sweep_with_level_min(loop_only, query, 10**9)
+            assert wide.marks == loop.marks
+            assert wide.links_examined == loop.links_examined
+            separated = frozenset(
+                compress(range(n), loop.marks.translate(_SEPARATED)))
+            relevant = frozenset(compress(range(n), loop.marks.translate(
+                _REACHED_UNCONDITIONED))) - query.sources
+            assert dsep_set_fast(dag, query) == separated
+            assert relevant_variables(dag, query) == relevant
+            assert requisite_parameters(dag, query) == requisite_parameters(
+                loop_only, query)
+            if edge_count <= 10_000:
+                assert separated == dsep_set(loop_only, query)
+        assert dag._arrays is not None      # the default sweeps went wide
+        assert loop_only._arrays is None
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2049])
+def test_flagged_nodes_equals_compress(n):
+    rng = random.Random(n)
+    cases = [bytes(n), b"\x01" * n, bytes(n - 1) + b"\x05",
+             bytes(rng.random() < 0.01 for _ in range(n)),
+             bytes(rng.random() < 0.9 for _ in range(n)),
+             bytes(rng.randrange(256) for _ in range(n))]
+    bare, wide = Dag(n, []), Dag(n, [])
+    adjacency_arrays(wide)
+    for flags in cases:
+        expected = frozenset(compress(range(n), flags))
+        for dag in (bare, wide):
+            for given in (flags, bytearray(flags)):
+                members = flagged_nodes(dag, given)
+                assert members == expected
+                assert all(type(v) is int for v in members)
+    assert bare._arrays is None
 
 
 def _eager_sweep(dag: Dag, query: SeparationQuery, stop_at) -> FastSweep:
@@ -921,13 +990,15 @@ class TestSweepBudget:
 
 def test_checks_and_narrow_sweeps_leave_numpy_unloaded():
     """numpy is imported on a whole-graph sweep's first wide frontier, not
-    by `import dsep`, a check or a sweep that never goes wide."""
+    by `import dsep`, a check, a sweep that never goes wide, or a sweep of
+    1,500 waiting states on a graph below `_WIDE_NODES` nodes."""
     code = "\n".join([
         "import sys, dsep",
         "dag = dsep.random_sparse_dag(6_000, seed=3)",
         "assert dag.node_count == 3_000 and dag._ranks is not None",
         "dsep.is_dseparated(dag, dsep.IndependenceStatement({0}, {5}, {2999}))",
         "dsep.dsep_set_fast(dag, dsep.SeparationQuery({0}, {5, 7}))",
+        "dsep.dsep_set_fast(dsep.star_dag(1_500), dsep.SeparationQuery({1}))",
         "print('numpy' in sys.modules)",
         "dsep.dsep_set_fast(dsep.star_dag(5_000), dsep.SeparationQuery({1}))",
         "print('numpy' in sys.modules)",

@@ -83,3 +83,14 @@ class TestSparseFamily:
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             random_sparse_dag(9, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_count_its_nodes_cannot_hold_rejected(self, seed):
+        # 11 edges get 5 nodes, which hold only 10 forward pairs.
+        with pytest.raises(ValueError, match="5 nodes cannot hold 11"):
+            random_sparse_dag(11, seed)
+
+    def test_every_small_count_that_fits_is_exact(self):
+        for edge_count in (10, *range(12, 64)):
+            dag = random_sparse_dag(edge_count, seed=edge_count)
+            assert len(dag.edges) == edge_count
