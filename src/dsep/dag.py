@@ -12,13 +12,8 @@ from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, MutableSequence, NamedTuple, Sequence
 
-from .errors import (
-    CycleDetected,
-    DuplicateEdge,
-    ForeignNode,
-    SelfLoop,
-    UnknownEndpoint,
-)
+from .errors import (CycleDetected, DuplicateEdge, ForeignNode, InvalidQuery,
+                     SelfLoop, UnknownEndpoint)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,6 +193,8 @@ def build_dag(node_names: Sequence[str],
         pairs = [(index[tail], index[head]) for tail, head in edges]
     except KeyError as exc:
         raise UnknownEndpoint(f"unknown edge endpoint {exc.args[0]!r}") from None
+    except (TypeError, ValueError):     # not an iterable of pairs
+        raise UnknownEndpoint("edges must be (tail, head) pairs") from None
     # A repeated name leaves `index` short, and `Dag` rejects `names` then.
     keep = len(index) == len(names)
     return Dag(len(names), pairs, names=_NameIndex(index) if keep else names)
@@ -206,7 +203,10 @@ def build_dag(node_names: Sequence[str],
 def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:
     """Freeze `nodes` into a set after checking each is a plain int id of
     `dag`, or of any graph with a `node_count`."""
-    members = frozenset(nodes)
+    try:
+        members = frozenset(nodes)
+    except TypeError as exc:    # not an iterable, or unhashable members
+        raise InvalidQuery(f"node sets must be sets of ids: {exc}") from None
     n = dag.node_count
     for v in members:
         if type(v) is not int or not (0 <= v < n):

@@ -37,8 +37,7 @@ one-sided: it is the paper's procedure, kept as a referee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import length_hint
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .dag import (Dag, NodeSet, adjacency_arrays, checked_nodes,
@@ -295,13 +294,13 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     `reached` and `links_examined` are those of marking A first.
 
     Without `stop_at`, on a graph of at least `_WIDE_NODES` nodes, the
-    per-state loop reads how many states wait after every `_CHUNK` states.
-    Once `_LEVEL_MIN` wait, `_expand_wide` takes them, and the levels after
-    them, with numpy until a level narrows, over the `adjacency_arrays` a
-    Dag builds on its first wide frontier; the loop walks on from that
-    level.  What a whole-graph sweep reaches and walks does not depend on
-    the order it takes the states in, so the marks and the count are the
-    same either way.
+    per-state loop walks the queue one breadth-first level at a time.  A
+    level of `_LEVEL_MIN` states or more goes to `_expand_wide`, which
+    takes it, and the levels after it, with numpy until a level narrows,
+    over the `adjacency_arrays` a Dag builds on its first wide frontier;
+    the loop walks on from that level.  What a whole-graph sweep reaches
+    and walks does not depend on the order it takes the states in, so the
+    marks and the count are the same either way.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
     `marks[v]`: 1 in An(conditioning), an open collider when entered
@@ -341,12 +340,13 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         queue.append(~j)
     if not stop.isdisjoint(sources):
         return FastSweep(mark, 0)
-    chunk = _CHUNK if stop_at is None and n >= _WIDE_NODES else None
+    wide = stop_at is None and n >= _WIDE_NODES
     ops = 0
-    walk = chunk and iter(queue)
-    while True:     # once per chunk; a confined sweep takes its whole queue
-        # The list grows while it is walked: a FIFO queue.
-        for state in queue if chunk is None else islice(walk, chunk):
+    while True:     # once per level of a wide sweep; a narrow one walks once
+        # A narrow sweep appends to the list it walks, a FIFO queue; a wide
+        # one collects the next level in a fresh list.
+        level, queue = queue, ([] if wide else queue)
+        for state in level:
             if state >= 0:
                 v = state
                 m = mark[v]
@@ -388,13 +388,11 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                         if mp > 127:
                             ops -= len(ps) - 1 - ps.index(p)
                             return FastSweep(mark, ops)
-        if chunk is None or not (waiting := length_hint(walk)):
+        if not (wide and queue):
             return FastSweep(mark, ops)
-        if waiting >= _LEVEL_MIN:
-            queue, walked = _expand_wide(adjacency_arrays(dag), mark,
-                                         queue[len(queue) - waiting:])
+        if len(queue) >= _LEVEL_MIN:
+            queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
             ops += walked
-            walk = iter(queue)
 
 
 def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
@@ -432,8 +430,8 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
     return low
 
 
-# Once this many states wait in a whole-graph sweep's queue, numpy expands
-# them.  On perfbench large-graph (5e4 nodes, 1e5 edges), 256 rather than
+# Once a level of a whole-graph sweep holds this many states, numpy expands
+# it.  On perfbench large-graph (5e4 nodes, 1e5 edges), 256 rather than
 # 4096 cut its whole-graph queries from 12.6 to 5.6 ms (medians); its
 # checks, which walk the adjacency tuples numpy skipped, read 2% slower.
 _LEVEL_MIN = 256
@@ -441,17 +439,13 @@ _LEVEL_MIN = 256
 # hundred states costs numpy about what it costs the loop, and numpy's
 # import (100-150 ms and 14 MB) is never paid back.
 _WIDE_NODES = 2048
-# A whole-graph sweep reads its waiting count once per this many states.
-# On perfbench large-graph's whole-graph sweeps (5e4 nodes, 1e5 edges), a
-# chunk of 1 made them 1.3x slower than 256, and a chunk of 4096 1.1x.
-_CHUNK = 256
 
 
 def _expand_wide(arrays, mark: bytearray,
                  level: list[int]) -> tuple[list[int], int]:
-    """Expand levels with numpy from the states of `level` until one has
-    fewer than `_LEVEL_MIN` states; returns that level as a state list,
-    and the links walked.
+    """Expand one breadth-first `level` of states with numpy, and each level
+    after it, until one has fewer than `_LEVEL_MIN` states; returns that
+    level as a state list, and the links walked.
 
     `arrays` is `adjacency_arrays(dag)` and `mark` the sweep's marks,
     which numpy views in place.  The bit tests are the per-state loop's.

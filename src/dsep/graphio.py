@@ -35,6 +35,9 @@ _LINE = re.compile(r"\s*(?:node\s+([A-Za-z0-9_]+)|(?!node\s+->\S)"
 
 
 def _check_name(name: str, line: int | None, column: int | None) -> None:
+    if type(name) is not str:
+        raise GraphSyntaxError(f"node name {name!r} is not a string",
+                               line=line, column=column)
     if "'" in name:
         raise GraphSyntaxError(
             f"node name {name!r} uses the prime character, which is "

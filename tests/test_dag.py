@@ -15,12 +15,16 @@ from dsep import (
     DoubledGraph,
     DuplicateEdge,
     ForeignNode,
+    InvalidQuery,
     SelfLoop,
+    Trail,
     UnknownEndpoint,
     ancestral_set,
     build_dag,
     descendant_table,
     doubled_graph,
+    find_reachable,
+    is_active_trail,
 )
 from dsep.dag import adjacency_arrays, checked_nodes, mark_ancestors
 
@@ -161,10 +165,30 @@ class TestDagConstruction:
         with pytest.raises(UnknownEndpoint):
             build_dag(["a", "b"], [("a", "c")])
 
+    @pytest.mark.parametrize("edges", [[("a", "b", "c")], [("a",)], [5],
+                                       [(["a"], "b")]])
+    def test_build_dag_rejects_edges_that_are_no_pairs(self, edges):
+        with pytest.raises(UnknownEndpoint, match="pairs"):
+            build_dag(["a", "b"], edges)
+
     def test_checked_nodes_range(self, web7):
         assert checked_nodes(web7, [0, 1]) == frozenset({0, 1})
         with pytest.raises(ForeignNode):
             checked_nodes(web7, [99])
+
+    @pytest.mark.parametrize("call", [
+        lambda dag, nodes: ancestral_set(dag, nodes),
+        lambda dag, nodes: descendant_table(dag, nodes),
+        lambda dag, nodes: is_active_trail(
+            dag, Trail((0, 1), ((0, 1),)), nodes),
+        lambda dag, nodes: find_reachable(
+            doubled_graph(dag), lambda first, second: True, nodes),
+    ])
+    @pytest.mark.parametrize("nodes", [5, [[1], [2]]])
+    def test_node_sets_that_are_no_sets_of_ids_rejected(self, web7, call,
+                                                         nodes):
+        with pytest.raises(InvalidQuery, match="sets of ids"):
+            call(web7, nodes)
 
 
 def _nodes_reaching(dag: Dag, targets: frozenset[int]) -> set[int]:

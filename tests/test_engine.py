@@ -10,7 +10,7 @@ from itertools import compress
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsep
@@ -518,19 +518,16 @@ class TestNonIntegerIds:
             engine(self.DAG, query)
 
 
-def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
-                          level_min: int, chunk: int = 256,
+def _sweep_with_level_min(dag: Dag, query: SeparationQuery, level_min: int,
                           budget: int | None = None) -> FastSweep:
-    """An unconfined `fast_sweep` that hands its queue to numpy once
-    `level_min` states wait, a count it reads after every `chunk` states:
-    both at 1 put every level on arrays, and a huge `level_min` or `chunk`
-    keeps the whole sweep in the per-state loop.  The node gate goes to
-    `level_min` / 2 (a frontier holds at most two states a node), so with
-    a small `level_min` graphs of any size can go wide."""
+    """An unconfined `fast_sweep` that hands a level to numpy once it holds
+    `level_min` states: 1 puts every level on arrays, and a huge
+    `level_min` keeps the whole sweep in the per-state loop.  The node gate
+    goes to `level_min` / 2 (a level holds at most two states a node), so
+    with a small `level_min` graphs of any size can go wide."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dsep.engine._LEVEL_MIN", level_min)
         patch.setattr("dsep.engine._WIDE_NODES", (level_min + 1) // 2)
-        patch.setattr("dsep.engine._CHUNK", chunk)
         return fast_sweep(dag, query, budget=budget)
 
 
@@ -577,10 +574,9 @@ class TestArrayLevels:
     def _assert_paths_agree(dag: Dag, query: SeparationQuery) -> None:
         scalar = _sweep_with_level_min(dag, query, 10**9)
         for level_min in (1, 8):    # every level on arrays; only wide ones
-            for chunk in (1, 256, 10**9):
-                swept = _sweep_with_level_min(dag, query, level_min, chunk)
-                assert swept.marks == scalar.marks
-                assert swept.links_examined == scalar.links_examined
+            swept = _sweep_with_level_min(dag, query, level_min)
+            assert swept.marks == scalar.marks
+            assert swept.links_examined == scalar.links_examined
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_query())
@@ -624,7 +620,6 @@ class TestArrayLevels:
             raise AssertionError("a confined sweep reached _expand_wide")
 
         monkeypatch.setattr("dsep.engine._LEVEL_MIN", 1)
-        monkeypatch.setattr("dsep.engine._CHUNK", 1)
         monkeypatch.setattr("dsep.engine._expand_wide", wide)
         dag = _random_pairs_dag(5_000, 15_000, 2)
         query = SeparationQuery(range(0, 5_000, 97), {7, 900})
@@ -930,6 +925,59 @@ class TestTwoSidedChecks:
         assert starts == [{3}]
 
 
+@st.composite
+def split_statements(draw: st.DrawFn, min_nodes: int, max_nodes: int):
+    """A `set_statements` dag and statement X _||_ Y | Z, with a node from
+    outside the statement added to a singleton Y, and Y split into two
+    non-empty parts: (dag, X, Y1, Y2, Z)."""
+    dag, statement = draw(set_statements(min_nodes, max_nodes))
+    x, y, z = statement.sources, statement.targets, statement.conditioning
+    if len(y) == 1:
+        rest = sorted(set(range(dag.node_count)) - x - y - z)
+        assume(rest)
+        y = y | {draw(st.sampled_from(rest))}
+    ys = draw(st.permutations(sorted(y)))
+    k = draw(st.integers(1, len(ys) - 1))
+    return dag, x, frozenset(ys[:k]), frozenset(ys[k:]), z
+
+
+class TestGraphoidAxioms:
+    """d-separation is a graphoid (Pearl & Paz, 1987): the fast check obeys
+    decomposition, weak union, contraction and intersection, and also
+    composition; the moral baseline agrees with every statement used."""
+
+    @staticmethod
+    def _assert_axioms(dag: Dag, x, y1, y2, z) -> None:
+        def sep(y, given):
+            statement = IndependenceStatement(x, given, y)
+            verdict = is_dseparated(dag, statement)
+            assert moral_check(dag, statement) == verdict
+            return verdict
+
+        y = y1 | y2
+        whole, first, second = sep(y, z), sep(y1, z), sep(y2, z)
+        first_given_second = sep(y1, z | y2)
+        second_given_first = sep(y2, z | y1)
+        if whole:       # decomposition and weak union, both ways round
+            assert first and second
+            assert first_given_second and second_given_first
+        # contraction, both ways round, composition and intersection
+        assert whole == (first and second_given_first)
+        assert whole == (second and first_given_second)
+        assert whole == (first and second)
+        assert whole == (first_given_second and second_given_first)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=split_statements(3, 127))
+    def test_axioms_on_eagerly_marked_dags(self, case):
+        self._assert_axioms(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=split_statements(128, 2_000))
+    def test_axioms_on_lazily_marked_dags(self, case):
+        self._assert_axioms(*case)
+
+
 class TestSweepBudget:
     """`fast_sweep(..., budget=b)` either finishes as it would without a
     budget, or stops with `links_examined > b` and partial marks."""
@@ -965,18 +1013,18 @@ class TestSweepBudget:
                 short = fast_sweep(dag, query, stop_at=stop, budget=links - 1)
                 assert short.links_examined > links - 1
 
-    @pytest.mark.parametrize("level_min,chunk", [(10**9, 256), (1, 1), (8, 1)])
-    def test_whole_graph_sweeps_keep_the_contract(self, level_min, chunk):
+    @pytest.mark.parametrize("level_min", [10**9, 1, 8])
+    def test_whole_graph_sweeps_keep_the_contract(self, level_min):
         dag = _random_pairs_dag(400, 1_200, 3)
         query = SeparationQuery({0, 200}, {5, 9, 300})
-        full = _sweep_with_level_min(dag, query, level_min, chunk)
+        full = _sweep_with_level_min(dag, query, level_min)
         links = full.links_examined
         for budget in range(0, links + 2, 37):
-            swept = _sweep_with_level_min(dag, query, level_min, chunk, budget)
+            swept = _sweep_with_level_min(dag, query, level_min, budget)
             self._assert_contract(full, swept, budget)
-        assert _sweep_with_level_min(dag, query, level_min, chunk,
+        assert _sweep_with_level_min(dag, query, level_min,
                                      links).marks == full.marks
-        assert _sweep_with_level_min(dag, query, level_min, chunk,
+        assert _sweep_with_level_min(dag, query, level_min,
                                      links - 1).links_examined > links - 1
 
     @pytest.mark.parametrize("n", [4, 200])     # eager and lazy marking

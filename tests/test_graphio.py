@@ -280,6 +280,14 @@ class TestSerializeGraph:
         with pytest.raises(GraphSyntaxError, match="prime"):
             serialize_graph(augmented)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Dag(2, [(0, 1)], names=[1, 2]),
+        lambda: build_dag([1, 2], [(1, 2)]),
+    ])
+    def test_names_that_are_no_strings_rejected_at_write_time(self, make):
+        with pytest.raises(GraphSyntaxError, match="node name 1 is not a"):
+            serialize_graph(make())
+
 
 @pytest.fixture(scope="module")
 def sparse_documents():
