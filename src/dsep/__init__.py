@@ -40,6 +40,7 @@ from .errors import (
     EndpointInConditioningSet,
     ForeignNode,
     GraphSyntaxError,
+    InvalidArgument,
     InvalidQuery,
     MalformedTrail,
     OracleScaleExceeded,
@@ -88,6 +89,7 @@ __all__ = [
     "ForeignNode",
     "GraphSyntaxError",
     "IndependenceStatement",
+    "InvalidArgument",
     "InvalidQuery",
     "JointTable",
     "MalformedTrail",

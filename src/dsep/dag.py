@@ -12,8 +12,8 @@ from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, MutableSequence, NamedTuple, Sequence
 
-from .errors import (CycleDetected, DuplicateEdge, ForeignNode, InvalidQuery,
-                     SelfLoop, UnknownEndpoint)
+from .errors import (CycleDetected, DuplicateEdge, ForeignNode, InvalidArgument,
+                     InvalidQuery, SelfLoop, UnknownEndpoint)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,7 +60,7 @@ class Dag:
                  names: Sequence[str] | None = None) -> None:
         with _GcPaused():
             if type(node_count) is not int or node_count < 0:
-                raise ValueError(
+                raise InvalidArgument(
                     f"node_count must be a nonnegative int, got {node_count!r}")
             self.node_count = node_count
             self._doubled = self._arrays = None
@@ -70,11 +70,14 @@ class Dag:
                 self._name_to_id = None
             else:
                 index = names.ids if type(names) is _NameIndex else None
-                self.names = tuple(names if index is None else index)
+                try:
+                    self.names = tuple(names if index is None else index)
+                    self._name_to_id = index or dict(zip(self.names, range(node_count)))
+                except TypeError as exc:    # no iterable, or unhashable names
+                    raise InvalidArgument(f"bad node names: {exc}") from None
                 if len(self.names) != node_count:
                     raise ValueError(
                         f"got {len(self.names)} names for {node_count} nodes")
-                self._name_to_id = index or dict(zip(self.names, range(node_count)))
                 if len(self._name_to_id) != node_count:
                     raise ValueError("node names must be unique")
 
@@ -187,8 +190,11 @@ def _topological_ranks(order: list[int]) -> bytes | None:
 def build_dag(node_names: Sequence[str],
               edges: Iterable[tuple[str, str]]) -> Dag:
     """Assemble a Dag from external node names and name-pair edges."""
-    names = list(node_names)
-    index = dict(zip(names, range(len(names))))
+    try:
+        names = list(node_names)
+        index = dict(zip(names, range(len(names))))
+    except TypeError as exc:    # no iterable, or unhashable names
+        raise InvalidArgument(f"bad node names: {exc}") from None
     try:
         pairs = [(index[tail], index[head]) for tail, head in edges]
     except KeyError as exc:

@@ -265,8 +265,8 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     set (the collider opening).  Arriving along an arrow pointing out of
     v, it walks both lists when v is unconditioned.  Sources start in
     that second state, since a trail's first hop may go either way.
-    Each adjacency list is expanded at most once, so `links_examined` is
-    at most twice the edge count.
+    Each adjacency list is expanded at most once.  `links_examined` sums
+    the lengths of all lists the sweep began: at most twice the edge count.
 
     With `stop_at`, even empty, the sweep stops at the first link that
     reaches a member, and child links into nodes outside A = An(stop_at |
@@ -277,13 +277,12 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     incident to that set.  A source in `stop_at` ends the sweep before
     its first link: `reached` is then the sources, and no list is walked.
 
-    With `budget`, the per-state loop returns before it walks a list
-    that would take `links_examined` past the budget.  That list is
-    counted, so the count exceeds the budget, and the marks are partial.
-    A sweep that returns at most `budget` links finished, or stopped at
-    `stop_at`, and left the marks it would leave without one.  (A wide
-    frontier's lists count together, so a whole-graph sweep may finish
-    past its budget.)
+    With `budget`, the per-state loop returns before it walks a list that
+    would take `links_examined` past the budget, that list counted and the
+    marks partial.  So a sweep given at least the links it examines without
+    a budget returns that same sweep, and one given fewer returns a count
+    above the budget (a wide frontier's lists count together, so a
+    whole-graph sweep may then finish).
 
     With `stop_at` and `Dag._ranks` (graphs of 128 nodes or more), A is
     marked lazily.  The sweep marks the conditioning set and `stop_at`,
@@ -317,6 +316,8 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     rank, bound = dag._ranks, 0     # ranks at or above `bound` are resolved
     if budget is None:
         budget = 2 * len(dag.edges)     # no sweep examines more
+    elif type(budget) is not int:
+        raise InvalidQuery(f"budget must be an int, got {budget!r}")
     # The bits are written as literals: a global lookup per link costs more.
     if stop_at is None:
         stop, mark = frozenset(), bytearray(b"\x02") * n
@@ -372,7 +373,6 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                         mark[c] = mc | 8
                         queue.append(c)
                         if mc > 127:    # bit 128, a stop node (> beats &)
-                            ops -= len(kids) - 1 - kids.index(c)
                             return FastSweep(mark, ops)
             if expand_in and not m & 64:
                 mark[v] = m | 64
@@ -386,7 +386,6 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                         mark[p] = mp | 16
                         queue.append(~p)
                         if mp > 127:
-                            ops -= len(ps) - 1 - ps.index(p)
                             return FastSweep(mark, ops)
         if not (wide and queue):
             return FastSweep(mark, ops)

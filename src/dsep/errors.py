@@ -52,8 +52,12 @@ class EmptyStartSet(DsepError):
     """A reachability sweep or separation query was given no start nodes."""
 
 
+class InvalidArgument(DsepError, ValueError):
+    """A graph or generator argument has the wrong type or lies out of range."""
+
+
 class InvalidQuery(DsepError, ValueError):
-    """A query's node sets are no sets of ids or overlap, or its method is unknown."""
+    """A query's node sets are no id sets or overlap, or its method or budget is bad."""
 
 
 class MalformedTrail(DsepError):

@@ -5,19 +5,20 @@ from __future__ import annotations
 import random
 
 from .dag import Dag
+from .errors import InvalidArgument
 
 
 def chain_dag(edge_count: int) -> Dag:
     """0 -> 1 -> ... -> edge_count."""
-    if edge_count < 0:
-        raise ValueError("edge_count must be nonnegative")
+    if type(edge_count) is not int or edge_count < 0:
+        raise InvalidArgument("edge_count must be a nonnegative int")
     return Dag(edge_count + 1, [(i, i + 1) for i in range(edge_count)])
 
 
 def star_dag(leaf_count: int, hub_to_leaves: bool = True) -> Dag:
     """Hub node 0 joined to `leaf_count` leaves, arrows leaving the hub by default."""
-    if leaf_count < 0:
-        raise ValueError("leaf_count must be nonnegative")
+    if type(leaf_count) is not int or leaf_count < 0:
+        raise InvalidArgument("leaf_count must be a nonnegative int")
     if hub_to_leaves:
         edges = [(0, i) for i in range(1, leaf_count + 1)]
     else:
@@ -28,6 +29,8 @@ def star_dag(leaf_count: int, hub_to_leaves: bool = True) -> Dag:
 def random_dag(rng: random.Random, node_count: int,
                edge_prob: float = 0.35) -> Dag:
     """Erdos-Renyi style dag under a hidden random topological order."""
+    if type(node_count) is not int or node_count < 0:
+        raise InvalidArgument("node_count must be a nonnegative int")
     order = list(range(node_count))
     rng.shuffle(order)
     edges = []
@@ -44,8 +47,8 @@ def corpus_dag(rng: random.Random, node_count: int) -> Dag:
     Node ids are permuted so nothing downstream can lean on ids being
     topologically sorted.
     """
-    if node_count < 1:
-        raise ValueError("need at least one node")
+    if type(node_count) is not int or node_count < 1:
+        raise InvalidArgument("node_count must be a positive int")
     shape = rng.choice(("random", "random", "chain", "fork", "collider"))
     order = list(range(node_count))
     rng.shuffle(order)
@@ -77,12 +80,12 @@ def random_sparse_dag(edge_count: int, seed: int) -> Dag:
     weak connectivity, the remaining budget goes to random forward
     edges.  Deterministic for a fixed seed.
     """
-    if edge_count < 10:
-        raise ValueError("edge_count must be at least 10")
+    if type(edge_count) is not int or edge_count < 10:
+        raise InvalidArgument("edge_count must be an int of at least 10")
     node_count = edge_count // 2
     if node_count * (node_count - 1) // 2 < edge_count:    # only 11 fails
-        raise ValueError(f"{node_count} nodes cannot hold {edge_count} "
-                         f"forward edges")
+        raise InvalidArgument(f"{node_count} nodes cannot hold {edge_count} "
+                              f"forward edges")
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(node_count - 1)]
     present = set(edges)

@@ -25,6 +25,8 @@ TRAIL_NODE_LIMIT = 12          # largest graph the trail enumerator accepts
 JOINT_SIZE_LIMIT = 1 << 20     # largest joint table (number of entries)
 CPT_SUM_TOL = 1e-12
 JOINT_MASS_TOL = 1e-9
+MAX_TRIPLES = 64               # triples a numeric check samples, at most
+DEPENDENCE_TOL = 1e-6          # deviation that counts as dependence
 
 
 def _check_trail_scale(dag: Dag, work: str) -> None:
@@ -76,23 +78,23 @@ def enumerate_simple_trails(dag: Dag, start: int, goal: int) -> list[Trail]:
     return list(_iter_simple_trails(dag, start, goal))
 
 
+def _connected(dag: Dag, sources: Iterable[int], target: int,
+               flags: tuple[bool, ...], cond: NodeSet) -> bool:
+    """Does an active simple trail join a source to `target`?"""
+    return any(_trail_active(trail, flags, cond)
+               for j in sorted(sources)
+               for trail in _iter_simple_trails(dag, j, target))
+
+
 def dsep_bruteforce(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Separated set computed trail by trail; the referee for both engines."""
     _check_trail_scale(dag, "brute-force separation")
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
     flags = descendant_table(dag, cond)
-    separated = []
-    for alpha in range(dag.node_count):
-        if alpha in sources or alpha in cond:
-            continue
-        connected = any(
-            _trail_active(trail, flags, cond)
-            for j in sorted(sources)
-            for trail in _iter_simple_trails(dag, j, alpha))
-        if not connected:
-            separated.append(alpha)
-    return frozenset(separated)
+    return frozenset(alpha for alpha in range(dag.node_count)
+                     if alpha not in sources and alpha not in cond
+                     and not _connected(dag, sources, alpha, flags, cond))
 
 
 @dataclass(frozen=True)
@@ -275,14 +277,13 @@ class Theorem2Report:
 
     Separated triples must show no deviation beyond `soundness_tol`
     (those that do appear in `soundness_violations`).  Connected triples
-    are expected to show a deviation beyond `dependence_tol` in at least
+    are expected to show a deviation beyond `DEPENDENCE_TOL` in at least
     one network; the quiet ones appear in `dependence_misses`.
     """
 
     outcomes: tuple[TripleOutcome, ...]
     trials: int
     soundness_tol: float
-    dependence_tol: float
 
     @property
     def separated_count(self) -> int:
@@ -303,25 +304,15 @@ class Theorem2Report:
                      if not o.separated and o.networks_violating == 0)
 
 
-def _oracle_separated(dag: Dag, source: int, target: int,
-                      cond: NodeSet) -> bool:
-    flags = descendant_table(dag, cond)
-    return not any(_trail_active(t, flags, cond)
-                   for t in _iter_simple_trails(dag, source, target))
-
-
-def sample_triples(dag: Dag, seed: int,
-                   max_triples: int = 64) -> list[tuple[int, frozenset[int], int]]:
+def sample_triples(dag: Dag, seed: int) -> list[tuple[int, frozenset[int], int]]:
     """Deterministic (source, conditioning, target) triples for numeric checks.
 
-    Exhaustive when the total count fits the budget, sampled otherwise.
+    Exhaustive when the total count fits `MAX_TRIPLES`, sampled otherwise.
     """
     n = dag.node_count
-    if n < 2:
-        return []
     total = n * (n - 1) * (1 << max(0, n - 2))
     triples: list[tuple[int, frozenset[int], int]] = []
-    if total <= max_triples:
+    if total <= MAX_TRIPLES:
         for j in range(n):
             for k in range(n):
                 if k == j:
@@ -335,7 +326,7 @@ def sample_triples(dag: Dag, seed: int,
     rng = random.Random(f"{seed}:triples")
     chosen: set[tuple[int, frozenset[int], int]] = set()
     attempts = 0
-    while len(chosen) < max_triples and attempts < max_triples * 50:
+    while len(chosen) < MAX_TRIPLES and attempts < MAX_TRIPLES * 50:
         attempts += 1
         j, k = rng.sample(range(n), 2)
         cond = frozenset(v for v in range(n)
@@ -344,18 +335,16 @@ def sample_triples(dag: Dag, seed: int,
     return sorted(chosen, key=lambda t: (t[0], t[2], sorted(t[1])))
 
 
-def _check_numeric_settings(trials: int, *tolerances: float) -> None:
+def _check_numeric_settings(trials: int, tol: float) -> None:
     """Reject a trial count below one or a negative tolerance."""
     if trials < 1:
         raise ValueError("need at least one trial network")
-    if min(tolerances) < 0:
+    if tol < 0:
         raise ValueError("tolerance must be nonnegative")
 
 
 def check_theorem2(dag: Dag, trials: int, seed: int, *,
-                   max_triples: int = 64,
-                   soundness_tol: float = 1e-9,
-                   dependence_tol: float = 1e-6) -> Theorem2Report:
+                   soundness_tol: float = 1e-9) -> Theorem2Report:
     """Numeric spot-check that separation verdicts match exact independence.
 
     For each sampled triple the verdict comes from the trail oracle; the
@@ -363,25 +352,25 @@ def check_theorem2(dag: Dag, trials: int, seed: int, *,
     the largest CI deviation per network.
     """
     _check_trail_scale(dag, "numeric checking")
-    _check_numeric_settings(trials, soundness_tol, dependence_tol)
+    _check_numeric_settings(trials, soundness_tol)
     seed_rng = random.Random(f"{seed}:networks")
     net_seeds = [seed_rng.randrange(2 ** 32) for _ in range(trials)]
     tables = [joint(random_network(dag, 2, s)) for s in net_seeds]
 
     outcomes = []
-    for source, cond, target in sample_triples(dag, seed, max_triples):
-        separated = _oracle_separated(dag, source, target, cond)
+    for source, cond, target in sample_triples(dag, seed):
+        separated = not _connected(dag, (source,), target,
+                                   descendant_table(dag, cond), cond)
         worst = 0.0
         violating = 0
         for table in tables:
             dev = max_ci_violation(table, (source,), (target,), cond)
             worst = max(worst, dev)
-            if dev > dependence_tol:
+            if dev > DEPENDENCE_TOL:
                 violating += 1
         outcomes.append(TripleOutcome(
             source=source, target=target, conditioning=cond,
             separated=separated, max_violation=worst,
             networks_violating=violating))
     return Theorem2Report(outcomes=tuple(outcomes), trials=trials,
-                          soundness_tol=soundness_tol,
-                          dependence_tol=dependence_tol)
+                          soundness_tol=soundness_tol)

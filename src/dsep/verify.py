@@ -64,8 +64,7 @@ class AgreementReport:
         self.marriage_disagreements.extend(other.marriage_disagreements)
 
 
-def singleton_queries(dag: Dag, rng: random.Random | None = None
-                      ) -> Iterator[SeparationQuery]:
+def singleton_queries(dag: Dag) -> Iterator[SeparationQuery]:
     """Every single-source query; conditioning subsets exhaustive when small."""
     n = dag.node_count
     for j in range(n):
@@ -73,7 +72,7 @@ def singleton_queries(dag: Dag, rng: random.Random | None = None
         if len(others) <= EXHAUSTIVE_SUBSET_LIMIT:
             masks: Iterable[int] = range(1 << len(others))
         else:
-            local = rng or random.Random(8191 * (j + 1))
+            local = random.Random(8191 * (j + 1))
             masks = sorted({local.getrandbits(len(others))
                             for _ in range(SAMPLED_SUBSETS_PER_SOURCE)})
         for mask in masks:
@@ -88,14 +87,11 @@ def _describe(dag: Dag, query: SeparationQuery, note: str) -> str:
     return (f"{dag!r} sources={{{src}}} conditioning={{{cond}}}: {note}")
 
 
-def audit_dag(dag: Dag, queries: Iterable[SeparationQuery] | None = None,
-              use_oracle: bool = True) -> AgreementReport:
-    """Run the full agreement battery over one graph."""
+def audit_dag(dag: Dag) -> AgreementReport:
+    """Run the full agreement battery over one graph's singleton queries."""
     report = AgreementReport(graphs=1)
-    oracle_ok = use_oracle and dag.node_count <= TRAIL_NODE_LIMIT
-    if queries is None:
-        queries = singleton_queries(dag)
-    for query in queries:
+    oracle_ok = dag.node_count <= TRAIL_NODE_LIMIT
+    for query in singleton_queries(dag):
         report.queries += 1
         faithful = dsep_set(dag, query)
         fast = dsep_set_fast(dag, query)

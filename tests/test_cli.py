@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -101,6 +102,51 @@ class TestVerifyCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "soundness violations: 0" in out
+
+    def test_skipped_referees_are_reported(self, capsys, tmp_path):
+        graph = tmp_path / "chain13.txt"
+        graph.write_text("".join(f"v{i} -> v{i + 1}\n" for i in range(12)))
+        assert main(["verify", str(graph), "--numeric"]) == 0
+        out = capsys.readouterr().out
+        assert "trail-oracle cross-checks: 0\n" in out
+        assert "trail oracle: skipped (graph exceeds 12 nodes)\n" in out
+        assert out.endswith(
+            "agreement: OK\n"
+            "numeric check: skipped (numeric checking is capped at 12 "
+            "nodes, graph has 13)\n")
+
+    def test_disagreements_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("dsep.verify.dsep_set_fast", lambda dag, query: (
+            dsep.dsep_set(dag, query) | query.conditioning))
+        assert main(["verify", DIAMOND4, "--numeric"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # 4 sources, 7 non-empty conditioning sets each; the first 20 are
+        # listed, and the numeric check does not run
+        at = lines.index("agreement: 28 DISAGREEMENTS")
+        listed = lines[at + 1:]
+        assert len(listed) == 20
+        assert all(line.startswith("  Dag(nodes=4, edges=3) sources={")
+                   for line in listed)
+
+    def test_soundness_violation_exits_one(self, capsys, monkeypatch):
+        real = dsep.cli.check_theorem2
+
+        def unsound(dag, trials, seed, *, soundness_tol):
+            report = real(dag, trials, seed, soundness_tol=soundness_tol)
+            first = next(o for o in report.outcomes if o.separated)
+            return dataclasses.replace(report, outcomes=tuple(
+                dataclasses.replace(o, max_violation=1.0) if o is first
+                else o for o in report.outcomes))
+
+        monkeypatch.setattr("dsep.cli.check_theorem2", unsound)
+        assert main(["verify", DIAMOND4, "--numeric", "--trials", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "agreement: OK" in lines
+        assert lines[-1] == "soundness violations: 1"
+        confirmed = next(line for line in lines
+                         if line.startswith("separated triples confirmed: "))
+        done, total = map(int, confirmed.rsplit(" ", 1)[1].split("/"))
+        assert done == total - 1 > 0
 
     def test_random_mode_runs_until_quota(self, capsys):
         assert main(["verify", "--random", "4", "11"]) == 0

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+import inspect
+import random
 from pathlib import Path
+
+import pytest
 
 import dsep
 
@@ -13,7 +17,8 @@ PUBLIC = (
     "AgreementReport", "AugmentedDag", "BenchReport", "BenchRow",
     "CycleDetected", "Dag", "DiscreteNetwork", "DoubledGraph", "DsepError",
     "DuplicateEdge", "EmptyStartSet", "EndpointInConditioningSet",
-    "ForeignNode", "GraphSyntaxError", "IndependenceStatement", "InvalidQuery",
+    "ForeignNode", "GraphSyntaxError", "IndependenceStatement", "InvalidArgument",
+    "InvalidQuery",
     "JointTable", "MalformedTrail", "MoralGraph", "OracleScaleExceeded",
     "ReachabilityResult", "SelfLoop", "SeparationQuery", "Theorem2Report",
     "Trail", "UnknownEndpoint", "__version__", "ancestral_set", "audit_dag",
@@ -29,10 +34,114 @@ PUBLIC = (
 )
 
 
+_ERROR = ("message", "line", "column")
+
+# Each public callable's parameter names, in order: adding, dropping or
+# renaming an option is a visible diff here.
+SIGNATURES = {
+    "AgreementReport": (
+        "graphs", "queries", "oracle_queries", "statements",
+        "early_stop_checks", "marriage_checks", "disagreements",
+        "early_stop_disagreements", "marriage_disagreements",
+    ),
+    "AugmentedDag": ("base", "graph", "dummy_of"),
+    "BenchReport": ("rows",),
+    "BenchRow": (
+        "family", "node_count", "edge_count", "algorithm", "seconds",
+        "result_size", "ops",
+    ),
+    "CycleDetected": ("message", "cycle", "line", "column"),
+    "Dag": ("node_count", "edges", "names"),
+    "DiscreteNetwork": ("dag", "arities", "cpts"),
+    "DoubledGraph": ("base",),
+    "DsepError": _ERROR,
+    "DuplicateEdge": _ERROR,
+    "EmptyStartSet": _ERROR,
+    "EndpointInConditioningSet": _ERROR,
+    "ForeignNode": _ERROR,
+    "GraphSyntaxError": _ERROR,
+    "IndependenceStatement": ("sources", "conditioning", "targets"),
+    "InvalidArgument": _ERROR,
+    "InvalidQuery": _ERROR,
+    "JointTable": ("probs", "arities"),
+    "MalformedTrail": _ERROR,
+    "MoralGraph": ("nodes", "adjacency"),
+    "OracleScaleExceeded": _ERROR,
+    "ReachabilityResult": ("reached", "link_levels"),
+    "SelfLoop": _ERROR,
+    "SeparationQuery": ("sources", "conditioning"),
+    "Theorem2Report": ("outcomes", "trials", "soundness_tol"),
+    "Trail": ("nodes", "edges"),
+    "UnknownEndpoint": _ERROR,
+    "ancestral_set": ("dag", "members"),
+    "audit_dag": ("dag",),
+    "audit_random_corpus": ("max_nodes", "seed", "min_queries"),
+    "augment_dummies": ("dag",),
+    "build_dag": ("node_names", "edges"),
+    "chain_dag": ("edge_count",),
+    "check_theorem2": ("dag", "trials", "seed", "soundness_tol"),
+    "ci_holds": ("table", "first", "second", "conditioning", "tol"),
+    "corpus_dag": ("rng", "node_count"),
+    "descendant_table": ("dag", "conditioning"),
+    "doubled_graph": ("dag",),
+    "dsep_bruteforce": ("dag", "query"),
+    "dsep_set": ("dag", "query"),
+    "dsep_set_fast": ("dag", "query"),
+    "enumerate_simple_trails": ("dag", "start", "goal"),
+    "fast_sweep": ("dag", "query", "stop_at", "budget"),
+    "find_reachable": ("graph", "legal", "sources", "stop_at"),
+    "is_active_trail": ("dag", "trail", "conditioning"),
+    "is_dseparated": ("dag", "statement", "method"),
+    "joint": ("network",),
+    "load_graph_file": ("path", "json_format"),
+    "max_ci_violation": ("table", "first", "second", "conditioning"),
+    "moral_check": ("dag", "statement", "marriage"),
+    "moralize": ("dag", "statement", "marriage"),
+    "parse_graph": ("text",),
+    "parse_graph_json": ("text",),
+    "random_dag": ("rng", "node_count", "edge_prob"),
+    "random_network": ("dag", "arity", "seed"),
+    "random_sparse_dag": ("edge_count", "seed"),
+    "relevant_variables": ("dag", "query"),
+    "requisite_parameters": ("dag", "query"),
+    "run_bench": ("family", "edge_counts", "seed"),
+    "serialize_graph": ("dag",),
+    "singleton_queries": ("dag",),
+    "star_dag": ("leaf_count", "hub_to_leaves"),
+}
+
+
 def test_public_names_are_pinned():
     assert PUBLIC == tuple(sorted(PUBLIC))
     assert len(dsep.__all__) == len(set(dsep.__all__))
     assert tuple(sorted(dsep.__all__)) == PUBLIC
+
+
+def test_public_signatures_are_pinned():
+    signatures = {name: tuple(inspect.signature(obj).parameters)
+                  for name in dsep.__all__
+                  if callable(obj := getattr(dsep, name))}
+    assert signatures == SIGNATURES
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dsep.build_dag([[1]], []),
+    lambda: dsep.build_dag(5, []),
+    lambda: dsep.Dag(2, [], names=[[1], [2]]),
+    lambda: dsep.chain_dag("a"),
+    lambda: dsep.star_dag("a"),
+    lambda: dsep.random_sparse_dag("a", 1),
+    lambda: dsep.random_dag(random.Random(1), "x"),
+    lambda: dsep.corpus_dag(random.Random(1), "x"),
+    lambda: dsep.fast_sweep(dsep.chain_dag(3), dsep.SeparationQuery({0}),
+                            budget="x"),
+], ids=["build_dag-names", "build_dag-no-names", "Dag-names", "chain_dag",
+        "star_dag", "random_sparse_dag", "random_dag", "corpus_dag",
+        "fast_sweep-budget"])
+def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
+    with pytest.raises(dsep.DsepError) as raised:
+        call()
+    assert isinstance(raised.value, ValueError)
 
 
 def test_every_public_name_resolves():

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
-import random
+import pytest
 
 import dsep.verify
 from dsep import (
     audit_dag,
     audit_random_corpus,
     build_dag,
+    chain_dag,
+    dsep_set,
     dsep_set_fast,
     singleton_queries,
 )
+
+
+def _line(dag, query, note: str) -> str:
+    src = ",".join(sorted(dag.node_name(v) for v in query.sources))
+    cond = ",".join(sorted(dag.node_name(v) for v in query.conditioning))
+    return f"{dag!r} sources={{{src}}} conditioning={{{cond}}}: {note}"
 
 
 class TestSingletonQueries:
@@ -24,7 +32,7 @@ class TestSingletonQueries:
     def test_sampling_kicks_in_on_larger_graphs(self):
         dag = build_dag([f"v{i}" for i in range(9)],
                         [(f"v{i}", f"v{i + 1}") for i in range(8)])
-        queries = list(singleton_queries(dag, rng=random.Random(0)))
+        queries = list(singleton_queries(dag))
         by_source = {}
         for q in queries:
             (src,) = q.sources
@@ -45,10 +53,64 @@ class TestAuditDag:
             assert report.early_stop_checks == 2 * report.statements
             assert report.marriage_checks == report.statements
 
-    def test_oracle_can_be_skipped(self, diamond4):
-        report = audit_dag(diamond4, use_oracle=False)
+    def test_oracle_is_skipped_past_its_node_limit(self):
+        report = audit_dag(chain_dag(12))     # 13 nodes, the cap is 12
         assert report.ok
+        assert report.queries > 0
         assert report.oracle_queries == 0
+
+    @pytest.mark.parametrize("engine,note", [
+        ("dsep_set_fast", "faithful={right} fast={wrong}"),
+        ("dsep_bruteforce", "trail oracle={wrong} sweep={right}"),
+    ])
+    def test_a_wrong_separated_set_is_reported(self, diamond4, monkeypatch,
+                                               engine, note):
+        """An engine that also returns the conditioning set disagrees on
+        every conditioned query, and nowhere else."""
+        monkeypatch.setattr(dsep.verify, engine, lambda dag, query: (
+            dsep_set(dag, query) | query.conditioning))
+        report = audit_dag(diamond4)
+        expected = []
+        for query in singleton_queries(diamond4):
+            right = dsep_set(diamond4, query)
+            if query.conditioning:
+                expected.append(_line(diamond4, query, note.format(
+                    right=sorted(right),
+                    wrong=sorted(right | query.conditioning))))
+        assert len(expected) == 4 * 7
+        assert report.disagreements == expected
+        assert not report.early_stop_disagreements
+        assert not report.marriage_disagreements
+
+    def test_a_wrong_marriage_rule_is_reported(self, diamond4, monkeypatch):
+        """The restricted rule flipped for one target disagrees with the
+        full rule and with the sweeps, once per statement on that target."""
+        target = diamond4.node_id("4")
+        real = dsep.verify.moral_check
+
+        def faulty(dag, statement, marriage="restricted"):
+            verdict = real(dag, statement, marriage)
+            if marriage == "restricted" and statement.targets == {target}:
+                return not verdict
+            return verdict
+
+        monkeypatch.setattr(dsep.verify, "moral_check", faulty)
+        report = audit_dag(diamond4)
+        marriage, moral = [], []
+        for query in singleton_queries(diamond4):
+            if target in query.sources | query.conditioning:
+                continue
+            separated = target in dsep_set(diamond4, query)
+            marriage.append(_line(
+                diamond4, query, f"target 4 restricted={not separated} "
+                                 f"full={separated}"))
+            moral.append(_line(
+                diamond4, query, f"target 4 moral={not separated} "
+                                 f"expected={separated}"))
+        assert len(marriage) == 3 * 4
+        assert report.marriage_disagreements == marriage
+        assert report.disagreements == moral
+        assert not report.early_stop_disagreements
 
     def test_reports_merge_additively(self, web7, diamond4):
         a = audit_dag(web7)
@@ -80,14 +142,10 @@ class TestAuditDag:
             if target in query.sources | query.conditioning:
                 continue
             full = target in dsep_set_fast(diamond4, query)
-            src = ",".join(sorted(diamond4.node_name(v)
-                                  for v in query.sources))
-            cond = ",".join(sorted(diamond4.node_name(v)
-                                   for v in query.conditioning))
             for method in ("fast", "faithful"):
-                expected.append(
-                    f"{diamond4!r} sources={{{src}}} conditioning={{{cond}}}: "
-                    f"target 4 method={method} early={not full} full={full}")
+                expected.append(_line(
+                    diamond4, query,
+                    f"target 4 method={method} early={not full} full={full}"))
         # 3 other sources, 4 conditioning subsets of the 2 remaining nodes
         assert len(expected) == 2 * 3 * 4
         assert report.early_stop_disagreements == expected
