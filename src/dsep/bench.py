@@ -21,6 +21,7 @@ from .engine import (
     _faithful_sweep,
     fast_sweep,
 )
+from .errors import InvalidArgument
 from .generators import chain_dag, random_sparse_dag, star_dag
 from .moral import _bfs_separated, moralize
 
@@ -64,7 +65,8 @@ def build_instance(family: str, edge_count: int, seed: int
     adjacency lists; star and random run unconditioned.
     """
     if family in ("chain", "star") and edge_count < 2:  # 3 distinct nodes
-        raise ValueError(f"{family} needs edge_count at least 2, got {edge_count}")
+        raise InvalidArgument(
+            f"{family} needs edge_count at least 2, got {edge_count}")
     if family == "chain":
         dag = chain_dag(edge_count)
         cond = frozenset((dag.node_count // 2,))
@@ -75,8 +77,8 @@ def build_instance(family: str, edge_count: int, seed: int
         dag = random_sparse_dag(edge_count, seed)
         cond = frozenset()
     else:
-        raise ValueError(f"unknown family {family!r}, expected one of "
-                         f"{FAMILIES}")
+        raise InvalidArgument(f"unknown family {family!r}, expected one of "
+                              f"{FAMILIES}")
     source = 1 if family == "star" else 0
     target = dag.node_count - 1
     query = SeparationQuery(frozenset((source,)), cond)

@@ -76,10 +76,10 @@ class Dag:
                 except TypeError as exc:    # no iterable, or unhashable names
                     raise InvalidArgument(f"bad node names: {exc}") from None
                 if len(self.names) != node_count:
-                    raise ValueError(
+                    raise InvalidArgument(
                         f"got {len(self.names)} names for {node_count} nodes")
                 if len(self._name_to_id) != node_count:
-                    raise ValueError("node names must be unique")
+                    raise InvalidArgument("node names must be unique")
 
             parents: list[list[int]] = [[] for _ in range(node_count)]
             children: list[list[int]] = [[] for _ in range(node_count)]
@@ -168,16 +168,19 @@ class Dag:
         return loop
 
 
-# A topological rank is a block of at least _RANK_BLOCK nodes of a
-# topological order, and there are at most 256 blocks: one byte each.
-_RANK_BLOCK = 64
+# Graphs of _RANKED_NODES nodes or more get ranks.  A topological rank is a
+# block of max(_RANK_BLOCK, ceil(n / 256)) nodes of a topological order, so
+# there are at most 256 blocks: one byte each.  The finer the blocks, the
+# narrower the band a confined sweep resolves (see `engine._resolve`).
+_RANKED_NODES = 128
+_RANK_BLOCK = 16
 
 
 def _topological_ranks(order: list[int]) -> bytes | None:
     """Each node's block of the topological `order`, so rank[tail] <=
-    rank[head] on every edge; None below two blocks."""
+    rank[head] on every edge; None below `_RANKED_NODES` nodes."""
     n = len(order)
-    if n < 2 * _RANK_BLOCK:
+    if n < _RANKED_NODES:
         return None
     ranks = bytearray(n)
     block = max(_RANK_BLOCK, -(-n // 256))

@@ -29,15 +29,19 @@ its sweep touches plus the rank band it resolves, not all of An(X | Y | Z).
 The statement is also Y _||_ X | Z (symmetry; Pearl & Paz, 1987), and the
 sweep from one side can cost orders of magnitude less than the sweep from
 the other.  So `is_dseparated` sweeps from X and from Y in turn, each
-under a link budget that starts at 64 and grows 4x a round, and reads the
-verdict off the first side that finishes.  The faithful engine stays
-one-sided: it is the paper's procedure, kept as a referee.
+under a budget that starts at 64 and grows 4x a round, and reads the
+verdict off the first side that finishes.  A side's charge is the links
+it examines plus the parent links its lazy marking walks; a side that
+passes its budget pauses, and the next round resumes it (`_sweep`), so a
+check charges at most about 5 times its cheaper side.  The faithful
+engine stays one-sided: it is the paper's procedure, kept as a referee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
+from operator import length_hint
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .dag import (Dag, NodeSet, adjacency_arrays, checked_nodes,
@@ -228,15 +232,18 @@ _PARENTS_WALKED = bytes(b >> 6 & 1 for b in range(256))
 
 @dataclass(slots=True, eq=False)
 class FastSweep:
-    """The marks the linear-time sweep left plus its link-operation count.
+    """The marks the linear-time sweep left plus its link-operation counts.
 
     `marks[v]` holds the sweep's bits for v (see `fast_sweep`);
     `reached` and `parents_expanded` are read off them on demand, each in
-    O(node_count).
+    O(node_count).  `links_examined` counts the adjacency lists the sweep
+    began, `links_resolved` the parent links lazy marking walked (see
+    `_resolve`); their sum is what a budget caps.
     """
 
     marks: bytearray
     links_examined: int
+    links_resolved: int
 
     @property
     def reached(self) -> frozenset[int]:
@@ -277,20 +284,24 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     incident to that set.  A source in `stop_at` ends the sweep before
     its first link: `reached` is then the sources, and no list is walked.
 
-    With `budget`, the per-state loop returns before it walks a list that
-    would take `links_examined` past the budget, that list counted and the
-    marks partial.  So a sweep given at least the links it examines without
-    a budget returns that same sweep, and one given fewer returns a count
-    above the budget (a wide frontier's lists count together, so a
-    whole-graph sweep may then finish).
-
     With `stop_at` and `Dag._ranks` (graphs of 128 nodes or more), A is
     marked lazily.  The sweep marks the conditioning set and `stop_at`,
-    and parks them.  Before it walks the children of an out-state v, it
-    resolves every rank at or above v's (see `_resolve`).  A child of a
-    resolved node ranks no lower, so into-states need no test.  Bits 1
-    and 2 are then set only on the resolved ranks.  The other bits,
-    `reached` and `links_examined` are those of marking A first.
+    and parks them.  Before it walks the children of an out-state v, if
+    there are any, it resolves every rank at or above v's (see
+    `_resolve`), and `links_resolved` counts the parent links that walks.
+    A child of a resolved node ranks no lower, so into-states need no
+    test.  Bits 1 and 2 are then set only on the resolved ranks.  The
+    other bits, `reached` and `links_examined` are those of marking A
+    first.
+
+    With `budget`, the sweep's charge is `links_examined` plus
+    `links_resolved`.  It returns before it walks a list that would take
+    the charge past the budget, that list counted and the marks partial;
+    resolution returns after the parent list that does.  So a sweep given
+    at least the charge it makes without a budget returns that same
+    sweep, and one given less returns a charge above the budget (a wide
+    frontier's lists count together, so a whole-graph sweep may then
+    finish).
 
     Without `stop_at`, on a graph of at least `_WIDE_NODES` nodes, the
     per-state loop walks the queue one breadth-first level at a time.  A
@@ -309,45 +320,96 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     in `stop_at`.  A node is reached iff it has bit 8 or 16; the sources
     get both first.
     """
-    sources = checked_nodes(dag, query.sources)
-    cond = checked_nodes(dag, query.conditioning)
-    n = dag.node_count
-    parents, children = dag.parents, dag.children
-    rank, bound = dag._ranks, 0     # ranks at or above `bound` are resolved
-    if budget is None:
-        budget = 2 * len(dag.edges)     # no sweep examines more
-    elif type(budget) is not int:
+    if budget is None:  # no sweep charges more: 2 links an edge, 1 resolved
+        return _sweep(dag, query.sources, query.conditioning, stop_at,
+                      3 * len(dag.edges))
+    if type(budget) is not int:
         raise InvalidQuery(f"budget must be an int, got {budget!r}")
-    # The bits are written as literals: a global lookup per link costs more.
-    if stop_at is None:
-        stop, mark = frozenset(), bytearray(b"\x02") * n
-        mark_ancestors(dag, cond, mark, 1, 4)
-    else:
-        stop, mark = checked_nodes(dag, stop_at), bytearray(n)
-        if rank is None:
-            mark_ancestors(dag, cond, mark, 1 | 2, 4)
-            mark_ancestors(dag, stop, mark, 2, 128)
+    swept = _sweep(dag, query.sources, query.conditioning, stop_at, budget)
+    if type(swept) is _Paused:
+        return FastSweep(swept.marks, swept.links + swept.unwalked,
+                         swept.resolved)
+    return swept
+
+
+class _Paused(NamedTuple):
+    """All `_sweep` needs to take up the state it paused on again: the
+    level of states it was walking and its place there, the list the next
+    states go to, lazy marking's state, and the counts.  `unwalked` is the
+    length of the list it paused before: in the charge, not in `links`."""
+
+    marks: bytearray
+    level: list[int]
+    at: int
+    queue: list[int]
+    parked: list[int] | None
+    top: int
+    bound: int
+    links: int
+    unwalked: int
+    resolved: int
+
+
+def _sweep(dag: Dag, sources: Iterable[int], conditioning: Iterable[int],
+           stop_at: Iterable[int] | None, budget: int,
+           paused: _Paused | None = None) -> FastSweep | _Paused:
+    """`fast_sweep` that pauses rather than returns when its charge would
+    pass `budget`, and resumes from the `_Paused` it gave.
+
+    However often it pauses, it ends with the marks and counts of one
+    unbudgeted run: it pauses before it walks a list, which the resume
+    walks and counts, and `_resolve` parks what it has not walked.  A
+    sweep that never pauses builds no `_Paused`.  A resume reads no node
+    set, and returns the same `_Paused` if its charge passes `budget` too.
+    """
+    parents, children, rank = dag.parents, dag.children, dag._ranks
+    if paused is None:
+        sources = checked_nodes(dag, sources)
+        cond = checked_nodes(dag, conditioning)
+        n = dag.node_count
+        parked, top = None, 0   # ranks at or above `bound` are resolved
+        # The bits are written as literals: a global lookup per link costs more.
+        if stop_at is None:
+            stop, mark = frozenset(), bytearray(b"\x02") * n
+            if cond:
+                mark_ancestors(dag, cond, mark, 1, 4)
         else:
-            for v in cond:
-                mark[v] = 1 | 2 | 4
-            for v in stop:
-                mark[v] |= 2 | 128
-            parked = [*cond, *stop]     # marked, parents not walked
-            if parked:
-                top = bound = max(map(rank.__getitem__, parked)) + 1
-    queue = []      # v: arrived at v along an arrow into v; ~v: out of v
-    for j in sorted(sources):
-        mark[j] |= 8 | 16
-        queue.append(~j)
-    if not stop.isdisjoint(sources):
-        return FastSweep(mark, 0)
-    wide = stop_at is None and n >= _WIDE_NODES
-    ops = 0
-    while True:     # once per level of a wide sweep; a narrow one walks once
+            stop, mark = checked_nodes(dag, stop_at), bytearray(n)
+            if rank is None:
+                if cond:
+                    mark_ancestors(dag, cond, mark, 1 | 2, 4)
+                if stop:
+                    mark_ancestors(dag, stop, mark, 2, 128)
+            else:
+                for v in cond:
+                    mark[v] = 1 | 2 | 4
+                for v in stop:
+                    mark[v] |= 2 | 128
+                parked = [*cond, *(stop - cond)]    # marked, parents not walked
+                if parked:
+                    top = max(map(rank.__getitem__, parked)) + 1
+        level = []      # v: arrived at v along an arrow into v; ~v: out of v
+        for j in sorted(sources):
+            mark[j] |= 8 | 16
+            level.append(~j)
+        if not stop.isdisjoint(sources):
+            level = []
         # A narrow sweep appends to the list it walks, a FIFO queue; a wide
         # one collects the next level in a fresh list.
-        level, queue = queue, ([] if wide else queue)
-        for state in level:
+        queue = [] if stop_at is None and n >= _WIDE_NODES else level
+        bound, at, ops, resolved = top, 0, 0, 0
+    else:
+        mark, level, at, queue, parked, top, bound, ops, unwalked, resolved = (
+            paused)
+        if ops + unwalked + resolved > budget:  # it passed this budget too
+            return paused
+    wide = queue is not level
+    room = budget - resolved    # what `ops` may reach
+    states = iter(level)
+    if at:      # skip the states walked before the pause
+        next(islice(states, at, at), None)
+    while True:     # once per level of a wide sweep; a narrow one walks once
+        for state in states:
             if state >= 0:
                 v = state
                 m = mark[v]
@@ -356,49 +418,66 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
                 v = ~state
                 m = mark[v]
                 expand_in = not m & 4
-                if bound and expand_in and rank[v] < bound:  # kids unresolved
-                    bound = _resolve(parents, rank, mark, parked, top, bound,
-                                     rank[v])
+                if (bound and expand_in and rank[v] < bound
+                        and children[v]):   # kids unresolved
+                    bound, walked = _resolve(parents, rank, mark, parked, top,
+                                             bound, rank[v], room - ops)
+                    resolved += walked
+                    room -= walked
+                    if ops > room:
+                        unwalked = 0
+                        break
                     m = mark[v]
             if not m & (4 | 32):
-                m |= 32
-                mark[v] = m
                 kids = children[v]
                 ops += len(kids)
-                if ops > budget:
-                    return FastSweep(mark, ops)
+                if ops > room:
+                    unwalked = len(kids)
+                    break
+                m |= 32
+                mark[v] = m
                 for c in kids:      # arrives at c along an arrow into c
                     mc = mark[c]
                     if mc & (2 | 8) == 2:
                         mark[c] = mc | 8
                         queue.append(c)
                         if mc > 127:    # bit 128, a stop node (> beats &)
-                            return FastSweep(mark, ops)
+                            return FastSweep(mark, ops, resolved)
             if expand_in and not m & 64:
-                mark[v] = m | 64
                 ps = parents[v]
                 ops += len(ps)
-                if ops > budget:
-                    return FastSweep(mark, ops)
+                if ops > room:
+                    unwalked = len(ps)
+                    break
+                mark[v] = m | 64
                 for p in ps:        # arrives at p along an arrow out of p
                     mp = mark[p]
                     if not mp & 16:
                         mark[p] = mp | 16
                         queue.append(~p)
                         if mp > 127:
-                            return FastSweep(mark, ops)
-        if not (wide and queue):
-            return FastSweep(mark, ops)
-        if len(queue) >= _LEVEL_MIN:
-            queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
-            ops += walked
+                            return FastSweep(mark, ops, resolved)
+        else:       # the level is walked
+            if not (wide and queue):
+                return FastSweep(mark, ops, resolved)
+            if len(queue) >= _LEVEL_MIN:
+                queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
+                ops += walked
+            level, queue = queue, []
+            states = iter(level)
+            continue
+        # Paused on `state`, which a resume takes up from its start.
+        at = len(level) - length_hint(states) - 1
+        return _Paused(mark, level, at, queue, parked, top, bound,
+                       ops - unwalked, unwalked, resolved)
 
 
 def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
              mark: bytearray, parked: list[int], top: int, bound: int,
-             need: int) -> int:
+             need: int, limit: int) -> tuple[int, int]:
     """Resolve bits 1 and 2 of a confined sweep down to rank `need`; returns
-    the new bound, every rank at or above which is resolved.
+    the new bound, every rank at or above which is resolved, and the
+    parent links it walked.
 
     It walks the parents of each `parked` node ranked at or above the new
     bound, and of each node that walk marks there, and parks the marked
@@ -407,26 +486,40 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
     bound, at least doubles, and once it passes half of `top` the bound
     is 0: all of An(stop_at | conditioning) is marked, as `mark_ancestors`
     would.
+
+    Once the links walked pass `limit`, it stops after that parent list:
+    the marked nodes whose parents it has not walked go back onto
+    `parked`, and it returns the old bound.  A later call for the same
+    rank then finishes the band, and each parent list is walked once.
     """
     low = min(need, 2 * bound - top)
     if 2 * low < top:   # the rest at once, without rank tests
-        low, walk = 0, parked
+        low, walk = 0, parked[:]
+        parked.clear()
     else:
         walk = [v for v in parked if rank[v] >= low]
         parked[:] = [v for v in parked if rank[v] < low]
+    walked = 0
     # An(conditioning) first, as in the eager marks; bit 1 implies bit 2.
     for bit, bits in ((1, 1 | 2), (2, 2)):
         band = [v for v in walk if mark[v] & 3 == bits]
         for v in band:      # the list grows while it is walked
-            for p in parents[v]:
+            ps = parents[v]
+            for p in ps:
                 mp = mark[p]
                 if not mp & bit:
                     mark[p] = mp | bits
                     if not low or rank[p] >= low:
                         band.append(p)
-                    else:
+                    elif not mp & 2:    # else it is parked already
                         parked.append(p)
-    return low
+            walked += len(ps)
+            if walked > limit:
+                parked += band[band.index(v) + 1:]
+                if bit == 1:
+                    parked += [u for u in walk if mark[u] & 3 == 2]
+                return bound, walked
+    return low, walked
 
 
 # Once a level of a whole-graph sweep holds this many states, numpy expands
@@ -517,14 +610,7 @@ def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
     return flagged_nodes(dag, flags)
 
 
-class _FromTargets(NamedTuple):
-    """A statement's sets as the query of its sweep from the targets."""
-
-    sources: NodeSet
-    conditioning: NodeSet
-
-
-_FIRST_BUDGET = 64     # links a side may examine in a check's first round
+_FIRST_BUDGET = 64     # the charge a side may make in a check's first round
 
 
 def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
@@ -537,28 +623,34 @@ def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
 
     A sweep's cost depends on its side: for x _||_ y | pa(y), the sweep
     from x climbs An(x) and the one from y stops at pa(y).  So the fast
-    method sweeps from X, then from Y, each under a budget of 64 links
-    that grows 4x a round, and reads the first side that finishes.  Each
-    sweep starts afresh, so a check examines fewer than 11 times the
-    links of its cheaper side, or 128 (lazy marking's rank resolution is
-    not budgeted).  The faithful method, a referee, sweeps from X alone.
+    method sweeps from X, then from Y, each until its charge (links
+    examined plus links resolved) would pass a budget of 64 that grows 4x
+    a round, and reads the first side that finishes.  A side that passes
+    its budget pauses, and the next round resumes it, so no work is done
+    twice.  A check's charge is thus at most 5 times its cheaper side's,
+    or that side's plus 64 if that is more, plus one adjacency list.  The
+    faithful method, a referee, sweeps from X alone.
     """
-    targets = checked_nodes(dag, statement.targets)
-    if method == "fast":
-        query, stop, budget = statement, targets, _FIRST_BUDGET
-        while (swept := fast_sweep(dag, query, stop_at=stop,
-                                   budget=budget)).links_examined > budget:
-            if query is statement:      # the Y side, under the same budget
-                query = _FromTargets(targets, statement.conditioning)
-                stop = statement.sources
-            else:                       # the X side, under 4x the budget
-                query, stop, budget = statement, targets, 4 * budget
+    if method == "fast":    # the X side's sweep checks the node sets
+        x, z, targets = (statement.sources, statement.conditioning,
+                         statement.targets)
+        budget, from_y = _FIRST_BUDGET, None
+        swept, stop = _sweep(dag, x, z, targets, budget), targets
+        while type(swept) is _Paused:
+            from_x = swept      # then the Y side, under the same budget
+            from_y = _sweep(dag, targets, z, x, budget, from_y)
+            if type(from_y) is not _Paused:
+                swept, stop = from_y, x
+                break
+            budget *= 4         # then the X side, under 4x the budget
+            swept = _sweep(dag, x, z, targets, budget, from_x)
         marks = swept.marks
         for v in stop:
             if marks[v] & (8 | 16):
                 return False
         return True
     if method == "faithful":
+        targets = checked_nodes(dag, statement.targets)
         return not (_faithful_sweep(dag, statement, stop_at=targets).reached
                     & targets)
     raise InvalidQuery(f"unknown method {method!r}")

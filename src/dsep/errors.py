@@ -53,7 +53,7 @@ class EmptyStartSet(DsepError):
 
 
 class InvalidArgument(DsepError, ValueError):
-    """A graph or generator argument has the wrong type or lies out of range."""
+    """An argument has the wrong type or lies out of range."""
 
 
 class InvalidQuery(DsepError, ValueError):

@@ -14,6 +14,7 @@ from typing import Collection
 
 from .dag import Dag, ancestral_set, checked_nodes, descendant_table
 from .engine import IndependenceStatement
+from .errors import InvalidArgument
 
 MARRIAGE_RULES = ("restricted", "full")
 
@@ -45,7 +46,8 @@ def moralize(dag: Dag, statement: IndependenceStatement,
     separation verdicts, which the tests enforce.
     """
     if marriage not in MARRIAGE_RULES:
-        raise ValueError(f"marriage rule must be one of {MARRIAGE_RULES}")
+        raise InvalidArgument(
+            f"marriage rule must be one of {MARRIAGE_RULES}")
     sources = checked_nodes(dag, statement.sources)
     cond = checked_nodes(dag, statement.conditioning)
     targets = checked_nodes(dag, statement.targets)

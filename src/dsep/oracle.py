@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .dag import Dag, NodeSet, checked_nodes, descendant_table
 from .engine import SeparationQuery, Trail, _trail_active
-from .errors import ForeignNode, OracleScaleExceeded
+from .errors import ForeignNode, InvalidArgument, OracleScaleExceeded
 
 if TYPE_CHECKING:   # the numeric functions import numpy when first called
     import numpy as np
@@ -74,7 +74,7 @@ def enumerate_simple_trails(dag: Dag, start: int, goal: int) -> list[Trail]:
     _check_trail_scale(dag, "trail enumeration")
     checked_nodes(dag, (start, goal))
     if start == goal:
-        raise ValueError("trail endpoints must differ")
+        raise InvalidArgument("trail endpoints must differ")
     return list(_iter_simple_trails(dag, start, goal))
 
 
@@ -116,22 +116,22 @@ class DiscreteNetwork:
         object.__setattr__(self, "cpts", tuple(self.cpts))
         n = self.dag.node_count
         if len(self.arities) != n or len(self.cpts) != n:
-            raise ValueError("need one arity and one table per node")
+            raise InvalidArgument("need one arity and one table per node")
         if any(a < 2 for a in self.arities):
-            raise ValueError("arity must be at least 2 for every node")
+            raise InvalidArgument("arity must be at least 2 for every node")
         for v in range(n):
             expected = tuple(self.arities[p] for p in self.dag.parents[v])
             expected += (self.arities[v],)
             cpt = self.cpts[v]
             if cpt.shape != expected:
-                raise ValueError(
+                raise InvalidArgument(
                     f"table for node {v} has shape {cpt.shape}, "
                     f"expected {expected}")
             if np.any(cpt < 0.0) or np.any(cpt > 1.0):
-                raise ValueError(f"table for node {v} leaves [0, 1]")
+                raise InvalidArgument(f"table for node {v} leaves [0, 1]")
             sums = cpt.sum(axis=-1)
             if np.max(np.abs(sums - 1.0)) > CPT_SUM_TOL:
-                raise ValueError(
+                raise InvalidArgument(
                     f"table for node {v} has rows not summing to 1")
 
 
@@ -150,7 +150,7 @@ def random_network(dag: Dag, arity: int, seed: int) -> DiscreteNetwork:
     """
     import numpy as np
     if arity < 2:
-        raise ValueError("arity must be at least 2")
+        raise InvalidArgument("arity must be at least 2")
     arities = (arity,) * dag.node_count
     _check_joint_size(arities)
     rng = np.random.default_rng(seed)
@@ -173,13 +173,13 @@ class JointTable:
         import numpy as np
         object.__setattr__(self, "arities", tuple(self.arities))
         if self.probs.shape != self.arities:
-            raise ValueError(
+            raise InvalidArgument(
                 f"table shape {self.probs.shape} does not match arities "
                 f"{self.arities}")
         if np.any(self.probs < 0.0):
-            raise ValueError("joint table has negative entries")
+            raise InvalidArgument("joint table has negative entries")
         if abs(float(self.probs.sum()) - 1.0) > JOINT_MASS_TOL:
-            raise ValueError("joint table mass is not 1")
+            raise InvalidArgument("joint table mass is not 1")
 
     def probability(self, assignment: Sequence[int]) -> float:
         return float(self.probs[tuple(assignment)])
@@ -232,7 +232,7 @@ def max_ci_violation(table: JointTable, first: Iterable[int],
             if type(v) is not int or not (0 <= v < len(table.arities)):
                 raise ForeignNode(f"variable {v!r} is not in the joint table")
             if v in seen:
-                raise ValueError("variable groups must be disjoint")
+                raise InvalidArgument("variable groups must be disjoint")
             seen.add(v)
     m = _grouped_marginal(table, groups)          # [a, b, c]
     p_c = m.sum(axis=(0, 1))
@@ -255,7 +255,7 @@ def ci_holds(table: JointTable, first: Iterable[int], second: Iterable[int],
     nothing.
     """
     if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise InvalidArgument("tolerance must be nonnegative")
     return max_ci_violation(table, first, second, conditioning) <= tol
 
 
@@ -338,9 +338,9 @@ def sample_triples(dag: Dag, seed: int) -> list[tuple[int, frozenset[int], int]]
 def _check_numeric_settings(trials: int, tol: float) -> None:
     """Reject a trial count below one or a negative tolerance."""
     if trials < 1:
-        raise ValueError("need at least one trial network")
+        raise InvalidArgument("need at least one trial network")
     if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise InvalidArgument("tolerance must be nonnegative")
 
 
 def check_theorem2(dag: Dag, trials: int, seed: int, *,

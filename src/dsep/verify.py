@@ -23,6 +23,7 @@ from .engine import (
     dsep_set_fast,
     is_dseparated,
 )
+from .errors import InvalidArgument
 from .generators import corpus_dag
 from .moral import moral_check
 from .oracle import TRAIL_NODE_LIMIT, dsep_bruteforce
@@ -153,7 +154,7 @@ def audit_random_corpus(max_nodes: int, seed: int,
                         min_queries: int = 1000) -> AgreementReport:
     """Audit freshly sampled corpus graphs until `min_queries` queries ran."""
     if max_nodes < 2:
-        raise ValueError("need at least two nodes")
+        raise InvalidArgument("need at least two nodes")
     rng = random.Random(seed)
     report = AgreementReport()
     while report.queries < min_queries:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,7 +44,7 @@ from dsep import (
 )
 from dsep.dag import adjacency_arrays
 from dsep.engine import (_PARENTS_WALKED, _REACHED, _SEPARATED, FastSweep,
-                         _legality, flagged_nodes)
+                         _legality, _Paused, _sweep, flagged_nodes)
 from dsep.requisite import _REACHED_UNCONDITIONED
 
 from .conftest import dags_with_query
@@ -373,7 +374,8 @@ class TestSeparationSets:
         assert not any(swept.parents_expanded)
 
     def test_fast_sweep_keeps_only_marks_and_link_count(self):
-        assert FastSweep.__slots__ == ("marks", "links_examined")
+        assert FastSweep.__slots__ == ("marks", "links_examined",
+                                       "links_resolved")
         swept = fast_sweep(chain_dag(3), SeparationQuery({1}))
         assert isinstance(swept.marks, bytearray)
         assert len(swept.marks) == 4
@@ -725,12 +727,13 @@ def _eager_sweep(dag: Dag, query: SeparationQuery, stop_at) -> FastSweep:
 
 
 @st.composite
-def confined_sweeps(draw: st.DrawFn):
+def confined_sweeps(draw: st.DrawFn,
+                    shapes=("small", "windowed", "pairs", "chain")):
     """A dag, a valid query and a stop set: empty, one or three targets,
     or holding a source.  Dags are small, or have 128-3,000 nodes:
     windowed (parents from the 12 nodes before), random pairs (two edges
     a node), both with shuffled ids, or chains."""
-    shape = draw(st.sampled_from(["small", "windowed", "pairs", "chain"]))
+    shape = draw(st.sampled_from(shapes))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
     if shape == "small":
@@ -789,7 +792,8 @@ class TestLazyAncestralMarks:
         assert all(rank[t] <= rank[h] for t, h in dag.edges)
         blocks = sorted(set(rank))
         assert blocks == list(range(len(blocks))) and len(blocks) <= 256
-        assert all(rank.count(b) >= 64 for b in blocks[:-1])  # the last is short
+        size = max(16, -(-dag.node_count // 256))
+        assert all(rank.count(b) == size for b in blocks[:-1])  # the last is short
 
     @pytest.mark.parametrize("n", [0, 1, 2, 127])
     def test_no_ranks_below_128_nodes(self, n):
@@ -843,18 +847,41 @@ def set_statements(draw: st.DrawFn, min_nodes: int, max_nodes: int):
         picked[n_x:n_x + n_y])
 
 
-def _record_sweeps(monkeypatch) -> list[tuple[frozenset, int, int]]:
-    """Record each `fast_sweep` a check makes: (sources, budget, links)."""
-    calls = []
-    sweep = dsep.engine.fast_sweep
+def _charge(swept: FastSweep | _Paused) -> int:
+    """Links examined plus links resolved, what a budget caps."""
+    if type(swept) is _Paused:
+        return swept.links + swept.unwalked + swept.resolved
+    return swept.links_examined + swept.links_resolved
 
-    def recorded(dag, query, stop_at=None, *, budget=None):
-        swept = sweep(dag, query, stop_at, budget=budget)
-        calls.append((frozenset(query.sources), budget, swept.links_examined))
+
+class _Run(NamedTuple):
+    stop: frozenset     # the side's stop set: Y for the X side
+    budget: int
+    charge: int         # after the run
+    paused: bool
+    resolves: int       # `_resolve` calls in the run
+
+
+def _record_runs(monkeypatch) -> list[_Run]:
+    """Record each run of a side that a check makes."""
+    runs = []
+    sweep, resolve = dsep.engine._sweep, dsep.engine._resolve
+    resolves = [0]
+
+    def counted(*args):
+        resolves[0] += 1
+        return resolve(*args)
+
+    def recorded(dag, sources, conditioning, stop_at, budget, paused=None):
+        resolves[0] = 0
+        swept = sweep(dag, sources, conditioning, stop_at, budget, paused)
+        runs.append(_Run(frozenset(stop_at), budget, _charge(swept),
+                         type(swept) is _Paused, resolves[0]))
         return swept
 
-    monkeypatch.setattr("dsep.engine.fast_sweep", recorded)
-    return calls
+    monkeypatch.setattr("dsep.engine._sweep", recorded)
+    monkeypatch.setattr("dsep.engine._resolve", counted)
+    return runs
 
 
 class TestTwoSidedChecks:
@@ -882,33 +909,78 @@ class TestTwoSidedChecks:
         assert case[0]._ranks is not None
         self._assert_symmetric(*case)
 
-    @pytest.mark.parametrize("fan,sweeps", [(64, [64]), (65, [65, 0])])
+    @pytest.mark.parametrize("fan,runs", [
+        (64, [({1}, 64, 64, False)]),
+        (65, [({1}, 64, 65, True), ({0}, 64, 0, False)]),
+    ])
     def test_a_side_finishing_at_its_budget_is_read(self, monkeypatch, fan,
-                                                    sweeps):
+                                                    runs):
         # 0 -> 2..fan+1, and 1 on its own: from 0 the sweep counts the
         # fan's links and follows none; from 1 it has no link to count.
         dag = Dag(fan + 2, [(0, 2 + i) for i in range(fan)])
-        calls = _record_sweeps(monkeypatch)
+        recorded = _record_runs(monkeypatch)
         assert is_dseparated(dag, IndependenceStatement({0}, (), {1}))
-        assert [links for _, _, links in calls] == sweeps
+        assert [run[:4] for run in recorded] == runs
 
-    def test_markov_statement_alternates_sides_and_budgets(self, monkeypatch):
-        dag = _windowed_dag(3_000, 12, 8)
-        y = 2_500
+    @staticmethod
+    def _markov_statement(dag: Dag, y: int) -> IndependenceStatement:
         x = next(v for v in range(y - 3, 0, -1) if v not in dag.parents[y])
-        statement = IndependenceStatement({x}, dag.parents[y], {y})
-        from_x = fast_sweep(dag, statement.query(), stop_at={y})
-        calls = _record_sweeps(monkeypatch)
+        return IndependenceStatement({x}, dag.parents[y], {y})
+
+    def test_markov_statement_resumes_each_side(self, monkeypatch):
+        dag = _windowed_dag(3_000, 12, 8)
+        statement = self._markov_statement(dag, 2_500)
+        x, z, y = statement.sources, statement.conditioning, statement.targets
+        from_x = fast_sweep(dag, statement, stop_at=y)
+        from_y = fast_sweep(dag, SeparationQuery(y, z), stop_at=x)
+        recorded = _record_runs(monkeypatch)
         assert is_dseparated(dag, statement)
-        assert [sources for sources, _, _ in calls] == [
-            {x} if k % 2 == 0 else {y} for k in range(len(calls))]
-        assert len(calls) > 1       # answered from y
-        budgets = [budget for _, budget, _ in calls]
-        assert budgets == [64 * 4 ** (k // 2) for k in range(len(calls))]
-        assert calls[-1][2] <= budgets[-1]      # the last side finished
-        assert all(links > budget for _, budget, links in calls[:-1])
-        examined = sum(min(links, budget) for _, budget, links in calls)
+        runs = list(recorded)
+        assert len(runs) > 1 and len(runs) % 2 == 0     # answered from y
+        assert [run.stop for run in runs] == [y, x] * (len(runs) // 2)
+        assert [run.budget for run in runs] == [
+            64 * 4 ** (k // 2) for k in range(len(runs))]
+        assert all(run.paused and run.charge > run.budget
+                   for run in runs[:-1])
+        assert not runs[-1].paused and runs[-1].charge <= runs[-1].budget
+        # Each run resumes its side: the Y side ends with the charge of one
+        # unbudgeted sweep, and the X side's with that of one fresh sweep
+        # under its last budget.
+        assert runs[-1].charge == _charge(from_y)
+        last_x = fast_sweep(dag, statement, stop_at=y, budget=runs[-2].budget)
+        assert runs[-2].charge == _charge(last_x)
+        examined = runs[-2].charge + runs[-1].charge
         assert examined < 0.1 * from_x.links_examined
+
+    def test_a_check_charges_at_most_five_times_its_cheaper_side(self):
+        dag = _windowed_dag(3_000, 12, 8)
+        longest = max(map(len, dag.children + dag.parents))
+        for y in (300, 1_500, 2_500, 2_999):
+            statement = self._markov_statement(dag, y)
+            x, z = statement.sources, statement.conditioning
+            sides = [_charge(fast_sweep(dag, statement, stop_at={y})),
+                     _charge(fast_sweep(dag, SeparationQuery({y}, z),
+                                        stop_at=x))]
+            with pytest.MonkeyPatch.context() as patch:
+                runs = _record_runs(patch)
+                assert is_dseparated(dag, statement)
+            charge = runs[-1].charge + (runs[-2].charge if len(runs) > 1
+                                        else 0)
+            cheaper = min(sides)
+            assert charge <= max(5 * cheaper, cheaper + 64) + longest
+
+    def test_a_sink_target_with_conditioned_parents_resolves_nothing(
+            self, monkeypatch):
+        dag = _windowed_dag(3_000, 12, 8)
+        y = 2_999
+        assert not dag.children[y] and dag._ranks is not None
+        statement = self._markov_statement(dag, y)
+        runs = _record_runs(monkeypatch)
+        assert is_dseparated(dag, statement)
+        y_runs = [run for run in runs if run.stop == statement.sources]
+        assert y_runs and not y_runs[-1].paused
+        assert sum(run.resolves for run in y_runs) == 0
+        assert sum(run.resolves for run in runs) > 0    # the X side's
 
     def test_the_faithful_method_sweeps_from_x_alone(self, monkeypatch):
         starts = []
@@ -980,43 +1052,45 @@ class TestGraphoidAxioms:
 
 class TestSweepBudget:
     """`fast_sweep(..., budget=b)` returns the sweep it makes without a
-    budget when that examines at most b links, stopping sweeps included,
-    and otherwise a `links_examined` above b."""
+    budget when that charges at most b, links examined plus links
+    resolved, stopping sweeps included, and otherwise a charge above b."""
 
     @staticmethod
     def _assert_contract(full: FastSweep, swept: FastSweep,
                          budget: int) -> None:
         assert type(swept) is FastSweep
-        if swept.links_examined <= budget:
+        if _charge(swept) <= budget:
             assert swept.links_examined == full.links_examined
+            assert swept.links_resolved == full.links_resolved
             assert swept.marks == full.marks
         else:
-            assert budget < full.links_examined
+            assert budget < _charge(full)
 
     @settings(max_examples=150, deadline=None)
     @given(case=confined_sweeps(), data=st.data())
     def test_confined_sweeps_keep_the_contract(self, case, data):
         dag, query, stop = case
         full = fast_sweep(dag, query, stop_at=stop)
-        links = full.links_examined
-        drawn = data.draw(st.integers(0, links + 3))
+        charge = _charge(full)
+        drawn = data.draw(st.integers(0, charge + 3))
         longest = max(map(len, dag.children + dag.parents), default=0)
-        for budget in {0, drawn, links, 2 * len(dag.edges)}:
+        for budget in {0, drawn, charge, 3 * len(dag.edges)}:
             swept = fast_sweep(dag, query, stop_at=stop, budget=budget)
             self._assert_contract(full, swept, budget)
-            # it stopped before walking the one list that passed the budget
-            assert swept.links_examined <= budget + longest
-        at = fast_sweep(dag, query, stop_at=stop, budget=links)
-        assert at.links_examined == links and at.marks == full.marks
-        if links:
-            short = fast_sweep(dag, query, stop_at=stop, budget=links - 1)
-            assert short.links_examined > links - 1
+            # it stopped at the one list that passed the budget
+            assert _charge(swept) <= budget + longest
+        at = fast_sweep(dag, query, stop_at=stop, budget=charge)
+        assert _charge(at) == charge and at.marks == full.marks
+        if charge:
+            short = fast_sweep(dag, query, stop_at=stop, budget=charge - 1)
+            assert _charge(short) > charge - 1
 
     @pytest.mark.parametrize("level_min", [10**9, 1, 8])
     def test_whole_graph_sweeps_keep_the_contract(self, level_min):
         dag = _random_pairs_dag(400, 1_200, 3)
         query = SeparationQuery({0, 200}, {5, 9, 300})
         full = _sweep_with_level_min(dag, query, level_min)
+        assert full.links_resolved == 0
         links = full.links_examined
         for budget in range(0, links + 2, 37):
             swept = _sweep_with_level_min(dag, query, level_min, budget)
@@ -1031,8 +1105,44 @@ class TestSweepBudget:
     def test_a_source_in_stop_at_ends_before_its_first_link(self, n, budget):
         swept = fast_sweep(chain_dag(n), SeparationQuery({2}), stop_at={2, 4},
                            budget=budget)
-        assert swept.links_examined == 0
+        assert swept.links_examined == swept.links_resolved == 0
         assert swept.reached == {2}
+
+
+class TestResumedSweeps:
+    """A sweep paused at every budget up to its charge, and resumed each
+    time, ends as the sweep that never paused (`engine._sweep`)."""
+
+    @staticmethod
+    def _assert_resumes(dag: Dag, query: SeparationQuery, stop) -> None:
+        full = fast_sweep(dag, query, stop_at=stop)
+        charge = _charge(full)
+        longest = max(map(len, dag.children + dag.parents), default=0)
+        swept = None
+        for budget in range(charge):
+            swept = _sweep(dag, query.sources, query.conditioning, stop,
+                           budget, swept)
+            assert type(swept) is _Paused
+            assert budget < _charge(swept) <= budget + longest
+        swept = _sweep(dag, query.sources, query.conditioning, stop, charge,
+                       swept)
+        assert type(swept) is FastSweep
+        assert swept.marks == full.marks
+        assert swept.links_examined == full.links_examined
+        assert swept.links_resolved == full.links_resolved
+        assert _reaches(swept, stop) == _reaches(full, stop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=confined_sweeps(shapes=("small",)))
+    def test_on_eagerly_marked_dags(self, case):
+        assert case[0]._ranks is None
+        self._assert_resumes(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=confined_sweeps(shapes=("windowed", "pairs", "chain")))
+    def test_on_lazily_marked_dags(self, case):
+        assert case[0]._ranks is not None
+        self._assert_resumes(*case)
 
 
 def test_checks_and_narrow_sweeps_leave_numpy_unloaded():

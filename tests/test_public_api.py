@@ -144,6 +144,21 @@ def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
     assert isinstance(raised.value, ValueError)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dsep.Dag(2, [], names=["a"]),
+    lambda: dsep.Dag(2, [], names=["a", "a"]),
+    lambda: dsep.moralize(dsep.chain_dag(2),
+                          dsep.IndependenceStatement({0}, (), {2}), "x"),
+    lambda: dsep.run_bench("x", [10]),
+    lambda: dsep.audit_random_corpus(1, 0),
+], ids=["Dag-name-count", "Dag-repeated-name", "moralize-marriage",
+        "run_bench-family", "audit_random_corpus-max_nodes"])
+def test_arguments_out_of_range_raise_a_dsep_value_error(call):
+    with pytest.raises(dsep.DsepError) as raised:
+        call()
+    assert isinstance(raised.value, ValueError)
+
+
 def test_every_public_name_resolves():
     for name in dsep.__all__:
         assert hasattr(dsep, name), name
