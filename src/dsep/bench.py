@@ -102,7 +102,11 @@ def _best_of(repeats: int, fn):
 
 def _run_fast(dag: Dag, query: SeparationQuery, repeats: int):
     adjacency_arrays(dag)   # built once per Dag: keep it out of every repeat
-    seconds, swept = _best_of(repeats, lambda: fast_sweep(dag, query))
+    # A budgeted sweep is swept afresh, where the Dag would hand back the
+    # sweep it kept; no whole-graph sweep walks more than 2 links an edge.
+    limit = 2 * len(dag.edges)
+    seconds, swept = _best_of(
+        repeats, lambda: fast_sweep(dag, query, budget=limit))
     size = dag.node_count - len(swept.reached | query.conditioning)
     return seconds, size, swept.links_examined
 

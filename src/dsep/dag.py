@@ -50,11 +50,12 @@ class Dag:
     and acyclicity is checked eagerly at construction, so downstream
     algorithms never re-validate.  `_ranks` holds each node's block of a
     topological order, as n bytes (see `_topological_ranks`), or None
-    below 128 nodes.
+    below 128 nodes.  `_last_sweep` holds the last unbudgeted
+    whole-graph sweep with its node sets (see `engine._kept_sweep`).
     """
 
     __slots__ = ("node_count", "edges", "parents", "children", "names",
-                 "_name_to_id", "_doubled", "_arrays", "_ranks")
+                 "_name_to_id", "_doubled", "_arrays", "_ranks", "_last_sweep")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None) -> None:
@@ -63,7 +64,7 @@ class Dag:
                 raise InvalidArgument(
                     f"node_count must be a nonnegative int, got {node_count!r}")
             self.node_count = node_count
-            self._doubled = self._arrays = None
+            self._doubled = self._arrays = self._last_sweep = None
 
             if names is None:
                 self.names = None

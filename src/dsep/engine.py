@@ -11,9 +11,11 @@ Two interchangeable engines compute the full separated set:
 * `dsep_set_fast` runs directly on the dag with (node, arrival
   orientation) states and expands each of a node's two adjacency lists
   at most once, which bounds the link work by a small constant times
-  the edge count.  One per-state loop walks its queue in breadth-first
-  order, and hands a whole-graph sweep's wide frontiers to numpy, level
-  by level (as in Beamer et al., SC 2012).
+  the edge count.  One per-state loop walks one FIFO queue, and on a
+  graph of 2048 nodes or more hands a whole-graph sweep's wide queues to
+  numpy, level by level (as in Beamer et al., SC 2012).  A Dag keeps its
+  last unbudgeted whole-graph sweep, so the requisite tables, the relevant
+  observations and the separated set of one query take one sweep.
 
 Both must agree everywhere; the test suite enforces that against an
 exhaustive trail oracle.
@@ -303,14 +305,20 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     frontier's lists count together, so a whole-graph sweep may then
     finish).
 
-    Without `stop_at`, on a graph of at least `_WIDE_NODES` nodes, the
-    per-state loop walks the queue one breadth-first level at a time.  A
-    level of `_LEVEL_MIN` states or more goes to `_expand_wide`, which
-    takes it, and the levels after it, with numpy until a level narrows,
-    over the `adjacency_arrays` a Dag builds on its first wide frontier;
-    the loop walks on from that level.  What a whole-graph sweep reaches
-    and walks does not depend on the order it takes the states in, so the
-    marks and the count are the same either way.
+    Without `stop_at`, on a graph of `_WIDE_NODES` nodes or more, the
+    loop looks at its queue every 4 * `_LEVEL_MIN` links.  Once
+    `_LEVEL_MIN` states wait, or the list it paused before is that long,
+    `_expand_wide` takes them, and the levels after them, with numpy
+    until a level narrows, over the
+    `adjacency_arrays` a Dag builds on its first wide queue; the loop
+    resumes from that level.  What a whole-graph sweep reaches and walks
+    does not depend on the order it takes the states in, so the marks
+    and the count are the same either way, and `links_resolved` is 0.
+    A Dag keeps its last unbudgeted whole-graph sweep with its node sets
+    (see `_kept_sweep`), and the same sets again get a copy of its marks:
+    `requisite_parameters` and then `relevant_variables` on the same query
+    sweep the graph once, unless that sweep would build the Dag's arrays.
+    A budgeted sweep neither reads nor keeps it.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
     `marks[v]`: 1 in An(conditioning), an open collider when entered
@@ -320,12 +328,19 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     in `stop_at`.  A node is reached iff it has bit 8 or 16; the sources
     get both first.
     """
-    if budget is None:  # no sweep charges more: 2 links an edge, 1 resolved
-        return _sweep(dag, query.sources, query.conditioning, stop_at,
-                      3 * len(dag.edges))
-    if type(budget) is not int:
+    if budget is not None and type(budget) is not int:
         raise InvalidQuery(f"budget must be an int, got {budget!r}")
-    swept = _sweep(dag, query.sources, query.conditioning, stop_at, budget)
+    sources = checked_nodes(dag, query.sources)
+    cond = checked_nodes(dag, query.conditioning)
+    if stop_at is not None:
+        # No sweep charges more: 2 links an edge, 1 resolved.
+        limit = 3 * len(dag.edges) if budget is None else budget
+        swept = _sweep(dag, sources, cond, checked_nodes(dag, stop_at), limit)
+    elif budget is None:
+        kept = _kept_sweep(dag, sources, cond)
+        return FastSweep(kept.marks.copy(), kept.links_examined, 0)
+    else:
+        swept = _whole_sweep(dag, sources, cond, budget)
     if type(swept) is _Paused:
         return FastSweep(swept.marks, swept.links + swept.unwalked,
                          swept.resolved)
@@ -333,15 +348,14 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
 
 
 class _Paused(NamedTuple):
-    """All `_sweep` needs to take up the state it paused on again: the
-    level of states it was walking and its place there, the list the next
-    states go to, lazy marking's state, and the counts.  `unwalked` is the
-    length of the list it paused before: in the charge, not in `links`."""
+    """All `_sweep` needs to take up the state it paused on again: its
+    queue and its place there, lazy marking's state, and the counts.
+    `unwalked` is the length of the list it paused before: in the charge,
+    not in `links`."""
 
     marks: bytearray
-    level: list[int]
-    at: int
     queue: list[int]
+    at: int
     parked: list[int] | None
     top: int
     bound: int
@@ -350,11 +364,11 @@ class _Paused(NamedTuple):
     resolved: int
 
 
-def _sweep(dag: Dag, sources: Iterable[int], conditioning: Iterable[int],
-           stop_at: Iterable[int] | None, budget: int,
-           paused: _Paused | None = None) -> FastSweep | _Paused:
-    """`fast_sweep` that pauses rather than returns when its charge would
-    pass `budget`, and resumes from the `_Paused` it gave.
+def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
+           budget: int, paused: _Paused | None = None) -> FastSweep | _Paused:
+    """`fast_sweep` on checked node sets that pauses rather than returns
+    when its charge would pass `budget`, and resumes from the `_Paused` it
+    gave.  With `stop` None it sweeps the whole graph in the loop alone.
 
     However often it pauses, it ends with the marks and counts of one
     unbudgeted run: it pauses before it walks a list, which the resume
@@ -364,112 +378,141 @@ def _sweep(dag: Dag, sources: Iterable[int], conditioning: Iterable[int],
     """
     parents, children, rank = dag.parents, dag.children, dag._ranks
     if paused is None:
-        sources = checked_nodes(dag, sources)
-        cond = checked_nodes(dag, conditioning)
         n = dag.node_count
         parked, top = None, 0   # ranks at or above `bound` are resolved
         # The bits are written as literals: a global lookup per link costs more.
-        if stop_at is None:
-            stop, mark = frozenset(), bytearray(b"\x02") * n
+        if stop is None:    # the whole graph
+            stop, mark = (), bytearray(b"\x02") * n
             if cond:
                 mark_ancestors(dag, cond, mark, 1, 4)
+        elif rank is None:
+            mark = bytearray(n)
+            if cond:
+                mark_ancestors(dag, cond, mark, 1 | 2, 4)
+            if stop:
+                mark_ancestors(dag, stop, mark, 2, 128)
         else:
-            stop, mark = checked_nodes(dag, stop_at), bytearray(n)
-            if rank is None:
-                if cond:
-                    mark_ancestors(dag, cond, mark, 1 | 2, 4)
-                if stop:
-                    mark_ancestors(dag, stop, mark, 2, 128)
-            else:
-                for v in cond:
-                    mark[v] = 1 | 2 | 4
-                for v in stop:
-                    mark[v] |= 2 | 128
-                parked = [*cond, *(stop - cond)]    # marked, parents not walked
-                if parked:
-                    top = max(map(rank.__getitem__, parked)) + 1
-        level = []      # v: arrived at v along an arrow into v; ~v: out of v
+            mark = bytearray(n)
+            for v in cond:
+                mark[v] = 1 | 2 | 4
+            for v in stop:
+                mark[v] |= 2 | 128
+            parked = [*cond, *(stop - cond)]    # marked, parents not walked
+            if parked:
+                top = max(map(rank.__getitem__, parked)) + 1
+        queue = []      # v: arrived at v along an arrow into v; ~v: out of v
         for j in sorted(sources):
             mark[j] |= 8 | 16
-            level.append(~j)
-        if not stop.isdisjoint(sources):
-            level = []
-        # A narrow sweep appends to the list it walks, a FIFO queue; a wide
-        # one collects the next level in a fresh list.
-        queue = [] if stop_at is None and n >= _WIDE_NODES else level
+            queue.append(~j)
+        if stop and not stop.isdisjoint(sources):
+            queue = []
         bound, at, ops, resolved = top, 0, 0, 0
     else:
-        mark, level, at, queue, parked, top, bound, ops, unwalked, resolved = (
-            paused)
+        mark, queue, at, parked, top, bound, ops, unwalked, resolved = paused
         if ops + unwalked + resolved > budget:  # it passed this budget too
             return paused
-    wide = queue is not level
     room = budget - resolved    # what `ops` may reach
-    states = iter(level)
+    states = iter(queue)    # the list grows while it is walked: a FIFO queue
     if at:      # skip the states walked before the pause
         next(islice(states, at, at), None)
-    while True:     # once per level of a wide sweep; a narrow one walks once
-        for state in states:
-            if state >= 0:
-                v = state
-                m = mark[v]
-                expand_in = m & 1
-            else:
-                v = ~state
-                m = mark[v]
-                expand_in = not m & 4
-                if (bound and expand_in and rank[v] < bound
-                        and children[v]):   # kids unresolved
-                    bound, walked = _resolve(parents, rank, mark, parked, top,
-                                             bound, rank[v], room - ops)
-                    resolved += walked
-                    room -= walked
-                    if ops > room:
-                        unwalked = 0
-                        break
-                    m = mark[v]
-            if not m & (4 | 32):
-                kids = children[v]
-                ops += len(kids)
+    for state in states:
+        if state >= 0:
+            v = state
+            m = mark[v]
+            expand_in = m & 1
+        else:
+            v = ~state
+            m = mark[v]
+            expand_in = not m & 4
+            if (bound and expand_in and rank[v] < bound
+                    and children[v]):   # kids unresolved
+                bound, walked = _resolve(parents, rank, mark, parked, top,
+                                         bound, rank[v], room - ops)
+                resolved += walked
+                room -= walked
                 if ops > room:
-                    unwalked = len(kids)
+                    unwalked = 0
                     break
-                m |= 32
-                mark[v] = m
-                for c in kids:      # arrives at c along an arrow into c
-                    mc = mark[c]
-                    if mc & (2 | 8) == 2:
-                        mark[c] = mc | 8
-                        queue.append(c)
-                        if mc > 127:    # bit 128, a stop node (> beats &)
-                            return FastSweep(mark, ops, resolved)
-            if expand_in and not m & 64:
-                ps = parents[v]
-                ops += len(ps)
-                if ops > room:
-                    unwalked = len(ps)
-                    break
-                mark[v] = m | 64
-                for p in ps:        # arrives at p along an arrow out of p
-                    mp = mark[p]
-                    if not mp & 16:
-                        mark[p] = mp | 16
-                        queue.append(~p)
-                        if mp > 127:
-                            return FastSweep(mark, ops, resolved)
-        else:       # the level is walked
-            if not (wide and queue):
-                return FastSweep(mark, ops, resolved)
-            if len(queue) >= _LEVEL_MIN:
-                queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
-                ops += walked
-            level, queue = queue, []
-            states = iter(level)
-            continue
-        # Paused on `state`, which a resume takes up from its start.
-        at = len(level) - length_hint(states) - 1
-        return _Paused(mark, level, at, queue, parked, top, bound,
-                       ops - unwalked, unwalked, resolved)
+                m = mark[v]
+        if not m & (4 | 32):
+            kids = children[v]
+            ops += len(kids)
+            if ops > room:
+                unwalked = len(kids)
+                break
+            m |= 32
+            mark[v] = m
+            for c in kids:      # arrives at c along an arrow into c
+                mc = mark[c]
+                if mc & (2 | 8) == 2:
+                    mark[c] = mc | 8
+                    queue.append(c)
+                    if mc > 127:    # bit 128, a stop node (> beats &)
+                        return FastSweep(mark, ops, resolved)
+        if expand_in and not m & 64:
+            ps = parents[v]
+            ops += len(ps)
+            if ops > room:
+                unwalked = len(ps)
+                break
+            mark[v] = m | 64
+            for p in ps:        # arrives at p along an arrow out of p
+                mp = mark[p]
+                if not mp & 16:
+                    mark[p] = mp | 16
+                    queue.append(~p)
+                    if mp > 127:
+                        return FastSweep(mark, ops, resolved)
+    else:
+        return FastSweep(mark, ops, resolved)
+    # Paused on `state`, which a resume takes up from its start.
+    at = len(queue) - length_hint(states) - 1
+    return _Paused(mark, queue, at, parked, top, bound, ops - unwalked,
+                   unwalked, resolved)
+
+
+def _kept_sweep(dag: Dag, sources: NodeSet, cond: NodeSet,
+                build: bool = True) -> FastSweep | None:
+    """The unbudgeted whole-graph sweep of checked node sets.  The Dag
+    keeps the last one with its node sets in `dag._last_sweep`, replaced
+    whole, and hands it out again while the sets match; its marks are
+    read, never written.  With `build` False, a sweep that would build
+    the Dag's arrays is dropped instead, and None returned."""
+    last = dag._last_sweep
+    if last is None or last[0] != sources or last[1] != cond:
+        # No whole-graph sweep charges more: 2 links an edge.
+        swept = _whole_sweep(dag, sources, cond, 2 * len(dag.edges), build)
+        if swept is None:
+            return None
+        last = dag._last_sweep = sources, cond, swept
+    return last[2]
+
+
+def _whole_sweep(dag: Dag, sources: NodeSet, cond: NodeSet, budget: int,
+                 build: bool = True) -> FastSweep | _Paused | None:
+    """`_sweep` without a stop set.  On a graph of `_WIDE_NODES` nodes or
+    more it pauses every 4 * `_LEVEL_MIN` links, about 50 us of the loop,
+    to look at its queue.  Once `_LEVEL_MIN` states wait, or it paused
+    before a list of `_LEVEL_MIN` links or more (a hub's), `_expand_wide`
+    takes the waiting states and the levels after them with numpy, and
+    the loop resumes from the level that narrowed.  A resume starts from
+    a fresh list of the waiting states, so it skips none.  With `build`
+    False and no arrays built, it returns None there instead."""
+    if dag.node_count < _WIDE_NODES:
+        return _sweep(dag, sources, cond, None, budget)
+    poll = 4 * _LEVEL_MIN
+    swept = _sweep(dag, sources, cond, None, min(poll, budget))
+    while type(swept) is _Paused and swept.links + swept.unwalked <= budget:
+        mark, queue, at, _, _, _, links, unwalked, _ = swept
+        queue = queue[at:]
+        if len(queue) >= _LEVEL_MIN or unwalked >= _LEVEL_MIN:
+            if not build and dag._arrays is None:
+                return None
+            queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
+            links, unwalked = links + walked, 0
+        swept = _sweep(dag, (), (), None, min(links + unwalked + poll, budget),
+                       _Paused(mark, queue, 0, None, 0, 0, links, unwalked, 0))
+    return swept
 
 
 def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
@@ -522,8 +565,8 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
     return low, walked
 
 
-# Once a level of a whole-graph sweep holds this many states, numpy expands
-# it.  On perfbench large-graph (5e4 nodes, 1e5 edges), 256 rather than
+# Once this many states wait in a whole-graph sweep's queue, numpy expands
+# them.  On perfbench large-graph (5e4 nodes, 1e5 edges), 256 rather than
 # 4096 cut its whole-graph queries from 12.6 to 5.6 ms (medians); its
 # checks, which walk the adjacency tuples numpy skipped, read 2% slower.
 _LEVEL_MIN = 256
@@ -535,9 +578,10 @@ _WIDE_NODES = 2048
 
 def _expand_wide(arrays, mark: bytearray,
                  level: list[int]) -> tuple[list[int], int]:
-    """Expand one breadth-first `level` of states with numpy, and each level
-    after it, until one has fewer than `_LEVEL_MIN` states; returns that
-    level as a state list, and the links walked.
+    """Expand `level`, the states waiting in a whole-graph sweep's queue,
+    with numpy, and each breadth-first level after it until one has fewer
+    than `_LEVEL_MIN` states; returns that level as a state list, and the
+    links walked.
 
     `arrays` is `adjacency_arrays(dag)` and `mark` the sweep's marks,
     which numpy views in place.  The bit tests are the per-state loop's.
@@ -552,7 +596,7 @@ def _expand_wide(arrays, mark: bytearray,
     states = np.array(level)
     into, out = states[states >= 0], ~states[states < 0]
     ops = 0
-    while len(into) + len(out) >= _LEVEL_MIN:
+    while True:
         m = mk[into]
         kid_walk, par_walk = into[m & (4 | 32) == 0], into[m & (1 | 64) == 1]
         mk[kid_walk] |= 32
@@ -566,7 +610,8 @@ def _expand_wide(arrays, mark: bytearray,
         ops += len(kids) + len(pars)
         into = _first_arrivals(mk, stamp, kids, 8)
         out = _first_arrivals(mk, stamp, pars, 16)
-    return (~out).tolist() + into.tolist(), ops
+        if len(into) + len(out) < _LEVEL_MIN:
+            return (~out).tolist() + into.tolist(), ops
 
 
 def _rows(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -605,9 +650,11 @@ def flagged_nodes(dag: Dag, flags: bytes | bytearray) -> frozenset[int]:
 
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Same value as `dsep_set` in O(node_count + edge_count): the nodes the
-    sweep neither queued nor found conditioned (no mark bit 4, 8 or 16)."""
-    flags = fast_sweep(dag, query).marks.translate(_SEPARATED)
-    return flagged_nodes(dag, flags)
+    whole-graph sweep the Dag keeps (`_kept_sweep`) neither queued nor
+    found conditioned (no mark bit 4, 8 or 16)."""
+    swept = _kept_sweep(dag, checked_nodes(dag, query.sources),
+                        checked_nodes(dag, query.conditioning))
+    return flagged_nodes(dag, swept.marks.translate(_SEPARATED))
 
 
 _FIRST_BUDGET = 64     # the charge a side may make in a check's first round
@@ -631,9 +678,10 @@ def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
     or that side's plus 64 if that is more, plus one adjacency list.  The
     faithful method, a referee, sweeps from X alone.
     """
-    if method == "fast":    # the X side's sweep checks the node sets
-        x, z, targets = (statement.sources, statement.conditioning,
-                         statement.targets)
+    if method == "fast":
+        x = checked_nodes(dag, statement.sources)
+        z = checked_nodes(dag, statement.conditioning)
+        targets = checked_nodes(dag, statement.targets)
         budget, from_y = _FIRST_BUDGET, None
         swept, stop = _sweep(dag, x, z, targets, budget), targets
         while type(swept) is _Paused:

@@ -8,7 +8,13 @@ walks v's parent list: v is a source, or the trail arrives into v while
 v is or has a descendant in the conditioning set, or it arrives from a
 child of v while v is unconditioned.  Reaching v' opens no new state of
 the base dag.  This is the "top mark" of Shachter's Bayes-Ball (UAI
-1998), so each answer takes one linear sweep of the base dag.
+1998), so each answer takes one linear sweep of the base dag.  The
+tables are read off the whole-graph sweep, which the Dag keeps, so the
+relevant observations of the same query cost a copy of its marks.  Every
+parent list the sweep walks belongs to An(sources | conditioning), so
+where the whole-graph sweep would build the Dag's arrays (see
+`engine.fast_sweep`), a sweep confined to that set, which never loads
+numpy, gives the tables instead.
 `augment_dummies` still builds the augmented dag, as the tests' referee.
 """
 
@@ -16,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dag import Dag, NodeSet
-from .engine import SeparationQuery, fast_sweep, flagged_nodes
+from .dag import Dag, NodeSet, checked_nodes
+from .engine import SeparationQuery, _kept_sweep, fast_sweep, flagged_nodes
 
 _REACHED_UNCONDITIONED = bytes(b & (8 | 16) != 0 and not b & 4
                                for b in range(256))
@@ -56,11 +62,17 @@ def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
 
     The nodes whose parent list one sweep of `dag` walks: the same set as
     the dummies of `augment_dummies(dag)` left d-connected to the sources.
-    Each walked list belongs to a node of An(sources | conditioning), so
-    the sweep is confined to that set (an empty stop set).
+    The sweep is the whole-graph one, which the Dag keeps for
+    `relevant_variables` and `dsep_set_fast`, unless it would build the
+    Dag's arrays.  Each walked list belongs to a node of An(sources |
+    conditioning), so then the sweep is confined to that set (an empty
+    stop set) and never goes wide.
     """
-    marks = fast_sweep(dag, query, stop_at=()).parents_expanded
-    return flagged_nodes(dag, marks)
+    swept = _kept_sweep(dag, checked_nodes(dag, query.sources),
+                        checked_nodes(dag, query.conditioning), build=False)
+    if swept is None:
+        swept = fast_sweep(dag, query, stop_at=())
+    return flagged_nodes(dag, swept.parents_expanded)
 
 
 def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:

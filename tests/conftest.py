@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from dsep import Dag, build_dag
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failure prints the blob that replays it (@reproduce_failure).
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 WEB7_NAMES = ["n1", "n2", "n3", "n4", "n5", "n6", "n7"]
 WEB7_EDGES = [

@@ -6,7 +6,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import compress
+import threading
+from itertools import compress, permutations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ from dsep import (
     serialize_graph,
     star_dag,
 )
-from dsep.dag import adjacency_arrays
+from dsep.dag import adjacency_arrays, mark_ancestors
 from dsep.engine import (_PARENTS_WALKED, _REACHED, _SEPARATED, FastSweep,
                          _legality, _Paused, _sweep, flagged_nodes)
 from dsep.requisite import _REACHED_UNCONDITIONED
@@ -520,17 +521,55 @@ class TestNonIntegerIds:
             engine(self.DAG, query)
 
 
-def _sweep_with_level_min(dag: Dag, query: SeparationQuery, level_min: int,
+def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
+                          level_min: int | None,
                           budget: int | None = None) -> FastSweep:
-    """An unconfined `fast_sweep` that hands a level to numpy once it holds
-    `level_min` states: 1 puts every level on arrays, and a huge
-    `level_min` keeps the whole sweep in the per-state loop.  The node gate
-    goes to `level_min` / 2 (a level holds at most two states a node), so
-    with a small `level_min` graphs of any size can go wide."""
+    """An unconfined `fast_sweep`, swept afresh, that hands its queue to
+    numpy once `level_min` states wait (it looks every 4 * `level_min`
+    links): 1 puts nearly every level on arrays, and a huge `level_min`
+    keeps the whole sweep in the per-state loop.  The node gate goes to 0,
+    so graphs of any size can go wide.  `level_min` None is the default
+    settings: graphs below `_WIDE_NODES` nodes then take the loop alone."""
+    dag._last_sweep = None      # no kept sweep answers for this one
+    if level_min is None:
+        return fast_sweep(dag, query, budget=budget)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dsep.engine._LEVEL_MIN", level_min)
-        patch.setattr("dsep.engine._WIDE_NODES", (level_min + 1) // 2)
+        patch.setattr("dsep.engine._WIDE_NODES", 0)
         return fast_sweep(dag, query, budget=budget)
+
+
+def _per_state_sweep(dag: Dag, query: SeparationQuery) -> tuple[bytearray, int]:
+    """Referee of the whole-graph sweep: one per-state loop over every
+    node that never pauses or goes wide, with every bit set as
+    `fast_sweep` documents it; returns the marks and the links examined."""
+    mark = bytearray(b"\x02") * dag.node_count
+    mark_ancestors(dag, query.conditioning, mark, 1, 4)
+    queue = []      # v: arrived along an arrow into v; ~v: out of v
+    for j in sorted(query.sources):
+        mark[j] |= 8 | 16
+        queue.append(~j)
+    links = 0
+    for state in queue:     # the list grows while it is walked
+        v = state if state >= 0 else ~state
+        m = mark[v]
+        expand_in = m & 1 if state >= 0 else not m & 4
+        if not m & (4 | 32):
+            links += len(dag.children[v])
+            m |= 32
+            for c in dag.children[v]:
+                if not mark[c] & 8:
+                    mark[c] |= 8
+                    queue.append(c)
+        if expand_in and not m & 64:
+            links += len(dag.parents[v])
+            m |= 64
+            for p in dag.parents[v]:
+                if not mark[p] & 16:
+                    mark[p] |= 16
+                    queue.append(~p)
+        mark[v] |= m
+    return mark, links
 
 
 @st.composite
@@ -570,15 +609,18 @@ def _random_pairs_dag(node_count: int, edge_count: int, seed: int) -> Dag:
 
 
 class TestArrayLevels:
-    """Whole-graph sweeps expand wide BFS frontiers with numpy (`_expand_wide`)."""
+    """Whole-graph sweeps expand wide queues with numpy (`_expand_wide`)."""
 
     @staticmethod
     def _assert_paths_agree(dag: Dag, query: SeparationQuery) -> None:
-        scalar = _sweep_with_level_min(dag, query, 10**9)
-        for level_min in (1, 8):    # every level on arrays; only wide ones
+        marks, links = _per_state_sweep(dag, query)
+        # All in the loop, nearly every level on arrays, only wide ones,
+        # and the default settings.
+        for level_min in (10**9, 1, 8, None):
             swept = _sweep_with_level_min(dag, query, level_min)
-            assert swept.marks == scalar.marks
-            assert swept.links_examined == scalar.links_examined
+            assert swept.marks == marks
+            assert swept.links_examined == links
+            assert swept.links_resolved == 0
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_query())
@@ -658,7 +700,8 @@ def _shuffled(dag: Dag, seed: int) -> Dag:
 class TestWideSweepsAtDefaultSettings:
     """At the default thresholds, whole-graph sweeps of large dags go wide
     and read their answer sets off the marks with numpy; answers, marks
-    and counts stay those of the per-state loop alone."""
+    and counts stay those of the per-state loop alone, and of the
+    referee loop."""
 
     @staticmethod
     def _queries(n: int, seed: int, count: int):
@@ -686,6 +729,8 @@ class TestWideSweepsAtDefaultSettings:
             loop = _sweep_with_level_min(loop_only, query, 10**9)
             assert wide.marks == loop.marks
             assert wide.links_examined == loop.links_examined
+            assert (loop.marks, loop.links_examined) == _per_state_sweep(
+                loop_only, query)
             separated = frozenset(
                 compress(range(n), loop.marks.translate(_SEPARATED)))
             relevant = frozenset(compress(range(n), loop.marks.translate(
@@ -753,6 +798,154 @@ def confined_sweeps(draw: st.DrawFn,
     if kind == "source":
         stop.add(min(sources))
     return dag, SeparationQuery(sources, conditioning), stop
+
+
+class TestLastSweep:
+    """A Dag keeps its last unbudgeted whole-graph sweep (`Dag._last_sweep`);
+    what it answers never depends on that."""
+
+    READ_OFFS = (requisite_parameters, relevant_variables, dsep_set_fast)
+
+    @staticmethod
+    def _make(n: int = 3_000) -> Dag:
+        """Below `_WIDE_NODES` nodes `requisite_parameters` reads the kept
+        sweep; from there on, a confined one until the Dag holds its
+        arrays, since whole-graph sweeps of these graphs go wide."""
+        return _shuffled(_random_pairs_dag(n, 2 * n, 5), 5)
+
+    @staticmethod
+    def _queries(dag: Dag) -> tuple[SeparationQuery, SeparationQuery]:
+        picked = random.Random(9).sample(range(dag.node_count), 12)
+        return (SeparationQuery(picked[:2], picked[2:8]),
+                SeparationQuery(picked[8:9], picked[9:]))
+
+    @pytest.mark.parametrize("n", [300, 3_000])
+    def test_answers_match_a_fresh_dag_in_every_order(self, n):
+        dag = self._make(n)
+        a, b = self._queries(dag)
+        fresh = {(q, f): f(self._make(n), q)
+                 for q in (a, b) for f in self.READ_OFFS}
+        swept = {q: fast_sweep(self._make(n), q) for q in (a, b)}
+        for order in permutations(self.READ_OFFS):
+            for q in (a, b, a):
+                for read_off in order:
+                    assert read_off(dag, q) == fresh[q, read_off]
+                again = fast_sweep(dag, q)
+                assert again.marks == swept[q].marks
+                assert again.links_examined == swept[q].links_examined
+
+    @pytest.mark.parametrize("n", [300, 3_000])
+    def test_two_dags_share_nothing(self, n):
+        one, two = self._make(n), self._make(n)
+        query = self._queries(one)[0]
+        assert relevant_variables(one, query) == relevant_variables(
+            two, query)
+        kept = one._last_sweep, two._last_sweep
+        assert kept[0][2].marks == kept[1][2].marks
+        assert kept[0][2] is not kept[1][2]
+        assert kept[0][2].marks is not kept[1][2].marks
+        swept = fast_sweep(one, query)
+        assert swept.marks is not kept[0][2].marks
+        assert one._last_sweep is kept[0] and two._last_sweep is kept[1]
+
+    @pytest.mark.parametrize("make,keeps,arrays", [
+        (lambda: TestLastSweep._make(300), True, False),
+        (lambda: _windowed_dag(3_000, 12, 5), True, False),     # narrow
+        (lambda: TestLastSweep._make(3_000), False, False),     # goes wide
+        (lambda: TestLastSweep._make(3_000), True, True),
+    ])
+    def test_a_requisite_query_sweeps_once_unless_it_would_build_arrays(
+            self, monkeypatch, make, keeps, arrays):
+        """`requisite_parameters` keeps the whole-graph sweep, unless that
+        would build the Dag's arrays; a Dag holding them keeps it."""
+        dag = make()
+        query, other = self._queries(dag)
+        relevant = relevant_variables(make(), query)
+        if arrays:
+            dsep_set_fast(dag, other)
+            assert dag._arrays is not None
+        requisite_parameters(dag, query)
+        assert (dag._arrays is not None) == arrays
+        kept = dag._last_sweep is not None and dag._last_sweep[:2] == (
+            query.sources, query.conditioning)
+        assert kept == keeps
+
+        def sweep(*args):
+            raise AssertionError("the kept sweep was swept again")
+
+        monkeypatch.setattr("dsep.engine._whole_sweep", sweep)
+        if keeps:
+            assert relevant_variables(dag, query) == relevant
+        else:
+            with pytest.raises(AssertionError):
+                relevant_variables(dag, query)
+
+    @pytest.mark.parametrize("n", [300, 3_000])
+    def test_mutating_a_result_changes_no_later_answer(self, n):
+        dag = self._make(n)
+        query = self._queries(dag)[1]
+        relevant = relevant_variables(self._make(n), query)
+        requisite_parameters(dag, query)    # kept on the small graph
+        swept = fast_sweep(dag, query)
+        links = swept.links_examined
+        swept.marks[:] = b"\xff" * dag.node_count
+        swept.links_examined = 0
+        assert relevant_variables(dag, query) == relevant
+        assert fast_sweep(dag, query).links_examined == links
+
+    def test_threads_sharing_a_dag_get_their_own_answers(self):
+        dag = self._make(300)
+        queries = self._queries(dag)
+        expected = {(q, f): f(self._make(300), q)
+                    for q in queries for f in self.READ_OFFS}
+        wrong, finished = [], []
+
+        def work(q):
+            for _ in range(60):
+                for read_off in self.READ_OFFS:
+                    if read_off(dag, q) != expected[q, read_off]:
+                        wrong.append((q, read_off))
+            finished.append(q)
+
+        threads = [threading.Thread(target=work, args=(queries[k % 2],))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(finished) == 4 and wrong == []
+
+    def test_budgeted_sweeps_neither_read_nor_write_it(self):
+        dag = self._make()
+        query = self._queries(dag)[0]
+        full = fast_sweep(dag, query)
+        kept = dag._last_sweep
+        for budget in (0, full.links_examined // 2, full.links_examined):
+            fast_sweep(dag, query, budget=budget)
+            assert dag._last_sweep is kept
+        # A kept sweep with the query's node sets but no marks.
+        dag._last_sweep = (kept[0], kept[1],
+                           FastSweep(bytearray(dag.node_count), 0, 0))
+        swept = fast_sweep(dag, query, budget=full.links_examined)
+        assert swept.marks == full.marks
+        assert swept.links_examined == full.links_examined
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=confined_sweeps())
+    def test_requisite_tables_are_the_confined_sweeps_parent_lists(self,
+                                                                   case):
+        """Dags are small, or have 128-3,000 nodes: both sides of the
+        128-node rank gate and of `_WIDE_NODES`."""
+        dag, query, _ = case
+        walked = fast_sweep(dag, query, stop_at=()).parents_expanded
+        assert requisite_parameters(dag, query) == frozenset(
+            compress(range(dag.node_count), walked))
 
 
 class TestLazyAncestralMarks:
@@ -1085,12 +1278,14 @@ class TestSweepBudget:
             short = fast_sweep(dag, query, stop_at=stop, budget=charge - 1)
             assert _charge(short) > charge - 1
 
-    @pytest.mark.parametrize("level_min", [10**9, 1, 8])
+    @pytest.mark.parametrize("level_min", [10**9, 1, 8, None])
     def test_whole_graph_sweeps_keep_the_contract(self, level_min):
         dag = _random_pairs_dag(400, 1_200, 3)
         query = SeparationQuery({0, 200}, {5, 9, 300})
         full = _sweep_with_level_min(dag, query, level_min)
         assert full.links_resolved == 0
+        assert (full.marks, full.links_examined) == _per_state_sweep(dag,
+                                                                     query)
         links = full.links_examined
         for budget in range(0, links + 2, 37):
             swept = _sweep_with_level_min(dag, query, level_min, budget)
