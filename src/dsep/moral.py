@@ -5,14 +5,21 @@ statement's nodes, drop edge directions, marry co-parents, then check
 undirected connectivity while avoiding the conditioning set.  Being
 O(node_count^2) in the worst case it serves as a cross-check, not as
 the production path.
+
+Both marriage rules come from one construction per statement: the
+ancestral set, its undirected edges, the co-parent pairs whose child is
+in An(Z), which the restricted rule marries, and the other pairs, which
+the full rule marries as well.  The audit reads both verdicts off it
+with one BFS before and one after adding the other pairs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection
+from itertools import combinations
+from typing import Collection, Iterable
 
-from .dag import Dag, ancestral_set, checked_nodes, descendant_table
+from .dag import Dag, checked_nodes, mark_ancestors
 from .engine import IndependenceStatement
 from .errors import InvalidArgument
 
@@ -36,6 +43,39 @@ class MoralGraph:
         return f"MoralGraph(nodes={len(self.nodes)})"
 
 
+def _join(adjacency: dict[int, dict[int, None]],
+          pairs: Iterable[tuple[int, int]]) -> None:
+    """Link each pair both ways; a neighbor is listed once, where first linked."""
+    for a, b in pairs:
+        adjacency[a][b] = None
+        adjacency[b][a] = None
+
+
+def _restricted_graph(dag: Dag, statement: IndependenceStatement
+                      ) -> tuple[MoralGraph, list[tuple[int, int]]]:
+    """The restricted rule's moral graph, and the co-parent pairs that the
+    full rule marries besides: one construction serves both rules."""
+    cond = checked_nodes(dag, statement.conditioning)
+    ends = checked_nodes(dag, statement.sources | statement.targets)
+    marks = [False] * dag.node_count
+    conditioned = mark_ancestors(dag, cond, marks, True)        # An(Z)
+    anc = frozenset(conditioned + mark_ancestors(dag, ends, marks, True))
+    conditioned = frozenset(conditioned)
+
+    # The ancestral set is closed under parents, so its edges are its
+    # members' parent links.  Each neighbor is a key of an insertion-ordered
+    # dict, listed once even when two parents share several children.
+    links: list[tuple[int, int]] = []
+    others: list[tuple[int, int]] = []
+    for v in anc:
+        ps = dag.parents[v]
+        links += ((p, v) for p in ps)
+        (links if v in conditioned else others).extend(combinations(ps, 2))
+    adjacency: dict[int, dict[int, None]] = {v: {} for v in anc}
+    _join(adjacency, links)
+    return MoralGraph(anc, adjacency), others
+
+
 def moralize(dag: Dag, statement: IndependenceStatement,
              marriage: str = "restricted") -> MoralGraph:
     """Ancestral subgraph of the statement's nodes, undirected, co-parents married.
@@ -48,35 +88,10 @@ def moralize(dag: Dag, statement: IndependenceStatement,
     if marriage not in MARRIAGE_RULES:
         raise InvalidArgument(
             f"marriage rule must be one of {MARRIAGE_RULES}")
-    sources = checked_nodes(dag, statement.sources)
-    cond = checked_nodes(dag, statement.conditioning)
-    targets = checked_nodes(dag, statement.targets)
-    anc = ancestral_set(dag, sources | cond | targets)
-
-    # The ancestral set is closed under parents, so an edge is inside the
-    # subgraph exactly when its head is.  Each neighbor is a key of an
-    # insertion-ordered dict: listed once, where it was first linked, even
-    # when two parents share several children or are already adjacent.
-    adjacency: dict[int, dict[int, None]] = {v: {} for v in anc}
-    for tail, head in dag.edges:
-        if head in anc:
-            adjacency[tail][head] = None
-            adjacency[head][tail] = None
-
-    if marriage == "restricted":
-        flags = descendant_table(dag, cond)
-    for v in anc:
-        ps = dag.parents[v]
-        if len(ps) < 2:
-            continue
-        if marriage == "restricted" and not flags[v]:
-            continue
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                adjacency[ps[i]][ps[j]] = None
-                adjacency[ps[j]][ps[i]] = None
-
-    return MoralGraph(frozenset(anc), adjacency)
+    graph, others = _restricted_graph(dag, statement)
+    if marriage == "full":
+        _join(graph._adjacency, others)
+    return graph
 
 
 def _bfs_separated(graph: MoralGraph,
@@ -108,3 +123,14 @@ def moral_check(dag: Dag, statement: IndependenceStatement,
     graph = moralize(dag, statement, marriage)
     separated, _ = _bfs_separated(graph, statement)
     return separated
+
+
+def _moral_verdicts(dag: Dag,
+                    statement: IndependenceStatement) -> tuple[bool, bool]:
+    """`moral_check`'s (restricted, full) verdicts off one construction: a
+    BFS on the restricted graph, then one after the other marriages."""
+    graph, others = _restricted_graph(dag, statement)
+    restricted, _ = _bfs_separated(graph, statement)
+    _join(graph._adjacency, others)
+    full, _ = _bfs_separated(graph, statement)
+    return restricted, full

@@ -5,6 +5,13 @@ can referee them: separation verdicts come from enumerating simple
 trails one by one, and probabilistic claims are checked on exact joint
 tables built as the product of per-node conditional tables.  Hard size
 guards keep the exhaustive paths honest.
+
+The trails from a source to a target do not depend on the conditioning
+set, so `_separated_sets` answers a list of sets at once: it draws each
+target's trails lazily, once, judges each only against the sets whose
+verdict is still open, and stops when none is.  Trails are never stored,
+since one pair of a 12-node graph can have millions.  `dsep_bruteforce`
+is its one-set case and draws exactly the trails it drew alone.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .dag import Dag, NodeSet, checked_nodes, descendant_table
@@ -78,23 +86,47 @@ def enumerate_simple_trails(dag: Dag, start: int, goal: int) -> list[Trail]:
     return list(_iter_simple_trails(dag, start, goal))
 
 
-def _connected(dag: Dag, sources: Iterable[int], target: int,
-               flags: tuple[bool, ...], cond: NodeSet) -> bool:
-    """Does an active simple trail join a source to `target`?"""
-    return any(_trail_active(trail, flags, cond)
-               for j in sorted(sources)
-               for trail in _iter_simple_trails(dag, j, target))
+def _still_blocked(dag: Dag, sources: Iterable[int], target: int,
+                   open_: list[tuple[int, tuple[bool, ...], NodeSet]]
+                   ) -> list[tuple[int, tuple[bool, ...], NodeSet]]:
+    """The entries of `open_`, (key, descendant flags, conditioning set),
+    under which no simple trail joins a source to `target`.  Trails are
+    drawn lazily, judged against the entries still open, and no longer
+    drawn once none is: one entry draws them up to its first active one."""
+    if open_:
+        for trail in chain.from_iterable(_iter_simple_trails(dag, j, target)
+                                         for j in sorted(sources)):
+            open_ = [e for e in open_ if not _trail_active(trail, e[1], e[2])]
+            if not open_:
+                break
+    return open_
+
+
+def _separated_sets(dag: Dag, sources: NodeSet,
+                    conditionings: Sequence[NodeSet]) -> list[NodeSet]:
+    """`dsep_bruteforce`'s answer for each conditioning set (checked ids);
+    each target's trails are enumerated at most once for all the sets."""
+    judges = [(i, descendant_table(dag, cond), cond)
+              for i, cond in enumerate(conditionings)]
+    separated: list[list[int]] = [[] for _ in judges]
+    for alpha in range(dag.node_count):
+        if alpha not in sources:
+            for i, _, _ in _still_blocked(dag, sources, alpha, [
+                    e for e in judges if alpha not in e[2]]):
+                separated[i].append(alpha)
+    return [frozenset(s) for s in separated]
 
 
 def dsep_bruteforce(dag: Dag, query: SeparationQuery) -> NodeSet:
-    """Separated set computed trail by trail; the referee for both engines."""
+    """Separated set computed trail by trail; the referee for both engines.
+
+    The one-set case of `_separated_sets`, through which the audit asks
+    for all of a source's conditioning sets at once.
+    """
     _check_trail_scale(dag, "brute-force separation")
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
-    flags = descendant_table(dag, cond)
-    return frozenset(alpha for alpha in range(dag.node_count)
-                     if alpha not in sources and alpha not in cond
-                     and not _connected(dag, sources, alpha, flags, cond))
+    return _separated_sets(dag, sources, [cond])[0]
 
 
 @dataclass(frozen=True)
@@ -359,8 +391,8 @@ def check_theorem2(dag: Dag, trials: int, seed: int, *,
 
     outcomes = []
     for source, cond, target in sample_triples(dag, seed):
-        separated = not _connected(dag, (source,), target,
-                                   descendant_table(dag, cond), cond)
+        separated = bool(_still_blocked(
+            dag, (source,), target, [(0, descendant_table(dag, cond), cond)]))
         worst = 0.0
         violating = 0
         for table in tables:

@@ -14,7 +14,7 @@ from dsep import (
     moral_check,
     moralize,
 )
-from dsep.moral import MARRIAGE_RULES
+from dsep.moral import MARRIAGE_RULES, _moral_verdicts
 
 from .conftest import dags_with_query
 
@@ -129,3 +129,18 @@ class TestMoralCheck:
         expected = is_dseparated(dag, statement)
         for rule in MARRIAGE_RULES:
             assert moral_check(dag, statement, marriage=rule) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dags_with_query(), data=st.data())
+    def test_both_verdicts_from_one_construction(self, case, data):
+        dag, sources, conditioning = case
+        rest = [v for v in range(dag.node_count)
+                if v not in sources and v not in conditioning]
+        if not rest:
+            return
+        targets = data.draw(st.sets(st.sampled_from(rest), min_size=1,
+                                    max_size=2))
+        statement = IndependenceStatement(sources, conditioning, targets)
+        assert _moral_verdicts(dag, statement) == (
+            moral_check(dag, statement, "restricted"),
+            moral_check(dag, statement, "full"))

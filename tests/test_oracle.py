@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dsep.oracle
 
 from dsep import (
     Dag,
@@ -25,8 +28,9 @@ from dsep import (
     joint,
     max_ci_violation,
     random_network,
+    singleton_queries,
 )
-from dsep.oracle import sample_triples
+from dsep.oracle import _separated_sets, sample_triples
 
 from .conftest import dags_with_query, small_dags
 
@@ -149,6 +153,78 @@ class TestBruteforceAgreement:
         candidates = set(range(dag.node_count)) - sources - cond
         assert dsep_bruteforce(dag, SeparationQuery(sources, cond)) == (
             frozenset(candidates - reached))
+
+
+@pytest.fixture
+def drawn(monkeypatch) -> Counter:
+    """Count the trails the oracle draws, per (start, goal)."""
+    real = dsep.oracle._iter_simple_trails
+    counts: Counter = Counter()
+
+    def counting(dag, start, goal):
+        for trail in real(dag, start, goal):
+            counts[start, goal] += 1
+            yield trail
+
+    monkeypatch.setattr(dsep.oracle, "_iter_simple_trails", counting)
+    return counts
+
+
+class TestBatchedOracle:
+    """`_separated_sets`: all of a source's conditioning sets in one call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dag=small_dags(), data=st.data())
+    def test_equals_the_oracle_query_by_query(self, dag, data):
+        nodes = range(dag.node_count)
+        sources = data.draw(st.frozensets(st.sampled_from(nodes),
+                                          min_size=1, max_size=2))
+        rest = [v for v in nodes if v not in sources]
+        conditioning = (st.frozensets(st.sampled_from(rest)) if rest
+                        else st.just(frozenset()))
+        conditionings = data.draw(st.lists(conditioning, min_size=1,
+                                           max_size=8))
+        assert _separated_sets(dag, sources, conditionings) == [
+            dsep_bruteforce(dag, SeparationQuery(sources, cond))
+            for cond in conditionings]
+
+    def test_empty_and_repeated_sets(self, web7, ids):
+        sources = ids(web7, "n4")
+        conditionings = [frozenset(), ids(web7, "n5"), frozenset(),
+                         ids(web7, "n2", "n6"), ids(web7, "n5")]
+        assert _separated_sets(web7, sources, conditionings) == [
+            dsep_bruteforce(web7, SeparationQuery(sources, cond))
+            for cond in conditionings]
+
+    @pytest.mark.parametrize("graph,trails", [("web7", 1943),
+                                              ("diamond4", 48)])
+    def test_one_set_draws_the_trails_it_always_drew(self, request, drawn,
+                                                     graph, trails):
+        """Pinned: what the per-query oracle drew over every singleton
+        query, stopping at each target's first active trail."""
+        dag = request.getfixturevalue(graph)
+        for query in singleton_queries(dag):
+            dsep_bruteforce(dag, query)
+        assert sum(drawn.values()) == trails
+
+    @pytest.mark.parametrize("graph,trails,enumerated", [
+        ("web7", 72, 76), ("diamond4", 12, 12)])
+    def test_a_sources_sets_share_one_enumeration(self, request, drawn,
+                                                  graph, trails, enumerated):
+        dag = request.getfixturevalue(graph)
+        queries = list(singleton_queries(dag))
+        for j in range(dag.node_count):
+            _separated_sets(dag, frozenset((j,)), [
+                q.conditioning for q in queries if q.sources == {j}])
+        batched = Counter(drawn)
+        drawn.clear()
+        for j in range(dag.node_count):
+            for k in range(dag.node_count):
+                if k != j:
+                    enumerate_simple_trails(dag, j, k)
+        assert all(batched[key] <= drawn[key] for key in batched)
+        assert (sum(batched.values()), sum(drawn.values())) == (
+            trails, enumerated)
 
 
 def _collider_network() -> DiscreteNetwork:

@@ -151,8 +151,17 @@ def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
                           dsep.IndependenceStatement({0}, (), {2}), "x"),
     lambda: dsep.run_bench("x", [10]),
     lambda: dsep.audit_random_corpus(1, 0),
+    lambda: dsep.audit_random_corpus("x", 1),
+    lambda: dsep.audit_random_corpus(3.5, 1, min_queries=5),
+    lambda: dsep.audit_random_corpus(3, 1, min_queries="x"),
+    lambda: dsep.audit_random_corpus(3, [1]),
+    lambda: dsep.audit_random_corpus(3, 1, min_queries=-1),
 ], ids=["Dag-name-count", "Dag-repeated-name", "moralize-marriage",
-        "run_bench-family", "audit_random_corpus-max_nodes"])
+        "run_bench-family", "audit_random_corpus-max_nodes",
+        "audit_random_corpus-max_nodes-str",
+        "audit_random_corpus-max_nodes-float",
+        "audit_random_corpus-min_queries-str", "audit_random_corpus-seed",
+        "audit_random_corpus-min_queries-negative"])
 def test_arguments_out_of_range_raise_a_dsep_value_error(call):
     with pytest.raises(dsep.DsepError) as raised:
         call()

@@ -6,6 +6,7 @@ import pytest
 
 import dsep.verify
 from dsep import (
+    SeparationQuery,
     audit_dag,
     audit_random_corpus,
     build_dag,
@@ -67,8 +68,17 @@ class TestAuditDag:
                                                engine, note):
         """An engine that also returns the conditioning set disagrees on
         every conditioned query, and nowhere else."""
-        monkeypatch.setattr(dsep.verify, engine, lambda dag, query: (
-            dsep_set(dag, query) | query.conditioning))
+        def wrong(dag, query):
+            return dsep_set(dag, query) | query.conditioning
+
+        if engine == "dsep_set_fast":
+            monkeypatch.setattr(dsep.verify, engine, wrong)
+        else:   # the audit asks the oracle for a source's sets at once
+            monkeypatch.setattr(
+                dsep.verify, "_separated_sets",
+                lambda dag, sources, conditionings: [
+                    wrong(dag, SeparationQuery(sources, cond))
+                    for cond in conditionings])
         report = audit_dag(diamond4)
         expected = []
         for query in singleton_queries(diamond4):
@@ -86,15 +96,15 @@ class TestAuditDag:
         """The restricted rule flipped for one target disagrees with the
         full rule and with the sweeps, once per statement on that target."""
         target = diamond4.node_id("4")
-        real = dsep.verify.moral_check
+        real = dsep.verify._moral_verdicts
 
-        def faulty(dag, statement, marriage="restricted"):
-            verdict = real(dag, statement, marriage)
-            if marriage == "restricted" and statement.targets == {target}:
-                return not verdict
-            return verdict
+        def faulty(dag, statement):
+            restricted, full = real(dag, statement)
+            if statement.targets == {target}:
+                return not restricted, full
+            return restricted, full
 
-        monkeypatch.setattr(dsep.verify, "moral_check", faulty)
+        monkeypatch.setattr(dsep.verify, "_moral_verdicts", faulty)
         report = audit_dag(diamond4)
         marriage, moral = [], []
         for query in singleton_queries(diamond4):
