@@ -592,7 +592,7 @@ def _expand_wide(arrays, mark: bytearray,
     import numpy as np
     (kid_ptr, kid_idx), (par_ptr, par_idx) = arrays
     mk = np.frombuffer(mark, np.uint8)
-    stamp = np.empty(len(mark), np.int32)   # stale contents never read
+    stamp = np.empty(len(mark), np.intp)   # stale contents never read
     states = np.array(level)
     into, out = states[states >= 0], ~states[states < 0]
     ops = 0
@@ -631,7 +631,7 @@ def _first_arrivals(mk: np.ndarray, stamp: np.ndarray, nodes: np.ndarray,
     writes its position into `stamp`; one writer per node reads its own back."""
     import numpy as np
     new = nodes[mk[nodes] & bit == 0]
-    position = np.arange(len(new), dtype=np.int32)
+    position = np.arange(len(new), dtype=np.intp)
     stamp[new] = position
     new = new[stamp[new] == position]
     mk[new] |= bit
@@ -641,11 +641,20 @@ def _first_arrivals(mk: np.ndarray, stamp: np.ndarray, nodes: np.ndarray,
 def flagged_nodes(dag: Dag, flags: bytes | bytearray) -> frozenset[int]:
     """The ids v with `flags[v]` nonzero.  Once `dag` holds its arrays,
     numpy is loaded, and `flatnonzero` reads a sparse set off 50,000 flags
-    10x faster than `compress` (a dense one at par)."""
+    10x faster than `compress`.  A set of more than half the flags is
+    `dag._all_nodes`, built on the first such read, minus the ids
+    flagged 0: the difference copies its hash table and shares its ints,
+    0.45 ms against 1.6 ms for 50,000 members listed and hashed anew."""
     if dag._arrays is None:
         return frozenset(compress(range(dag.node_count), flags))
     import numpy as np
-    return frozenset(np.flatnonzero(np.frombuffer(flags, np.uint8)).tolist())
+    f = np.frombuffer(flags, np.uint8)
+    if 2 * np.count_nonzero(f) <= len(f):
+        return frozenset(np.flatnonzero(f).tolist())
+    everything = dag._all_nodes
+    if everything is None:
+        everything = dag._all_nodes = frozenset(range(dag.node_count))
+    return everything.difference(np.flatnonzero(f == 0).tolist())
 
 
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:

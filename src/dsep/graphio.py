@@ -17,13 +17,14 @@ A JSON document with the same content -- {"nodes": [...], "edges":
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from typing import NoReturn
 
 from .dag import Dag, _GcPaused, _NameIndex, build_dag
 from .errors import (CycleDetected, DsepError, DuplicateEdge, GraphSyntaxError,
-                     SelfLoop)
+                     InvalidArgument, SelfLoop)
 
 _NODE_LINE = re.compile(r"^\s*node\s+(\S+)\s*$")
 _EDGE_LINE = re.compile(r"^\s*(\S+)\s*->\s*(\S+)\s*$")
@@ -54,6 +55,8 @@ def parse_graph(text: str) -> Dag:
     One pass: one pattern per line, each name's id assigned at first
     sight.  A failed document is read again to word its first error.
     """
+    if not isinstance(text, str):
+        raise InvalidArgument(f"graph text must be a str, got {text!r:.60}")
     with _GcPaused():
         lines = text.splitlines()
         ids: dict[str, int] = {}
@@ -117,13 +120,19 @@ def _raise_first_error(lines: list[str], error: DsepError | None) -> NoReturn:
 
 
 def parse_graph_json(text: str) -> Dag:
-    """Parse the JSON variant; when "nodes" is absent, edges declare names."""
+    """Parse the JSON variant, given as str or bytes; when "nodes"
+    is absent, edges declare names."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise InvalidArgument(
+            f"JSON graph text must be a str or bytes, got {text!r:.60}")
     with _GcPaused():
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphSyntaxError(f"invalid JSON: {exc.msg}",
                                    line=exc.lineno, column=exc.colno) from None
+        except UnicodeDecodeError as exc:   # bytes that are no UTF-8
+            raise GraphSyntaxError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise GraphSyntaxError("top-level JSON value must be an object")
         raw_edges = doc.get("edges", [])
@@ -170,7 +179,13 @@ def serialize_graph(dag: Dag) -> str:
 
 
 def load_graph_file(path: str, json_format: bool = False) -> Dag:
-    """Read a graph document from disk in either format."""
+    """Read a graph document from disk in either format.  `path` is a file
+    name (str, bytes or path-like), never an open file descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidArgument(f"path must be a file name, got {path!r:.60}")
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphSyntaxError(f"{os.fsdecode(path)}: {exc}") from None
     return parse_graph_json(text) if json_format else parse_graph(text)

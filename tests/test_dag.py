@@ -300,7 +300,7 @@ class TestAdjacencyArrays:
         for v in range(web7.node_count):
             assert tuple(kid_idx[kid_ptr[v]:kid_ptr[v + 1]]) == web7.children[v]
             assert tuple(par_idx[par_ptr[v]:par_ptr[v + 1]]) == web7.parents[v]
-        assert kid_idx.dtype == par_ptr.dtype == np.int32
+        assert kid_idx.dtype == par_ptr.dtype == np.intp
 
     def test_built_once_per_dag(self, web7):
         assert adjacency_arrays(web7) is adjacency_arrays(web7)

@@ -754,6 +754,7 @@ def test_flagged_nodes_equals_compress(n):
              bytes(rng.randrange(256) for _ in range(n))]
     bare, wide = Dag(n, []), Dag(n, [])
     adjacency_arrays(wide)
+    everything = None
     for flags in cases:
         expected = frozenset(compress(range(n), flags))
         for dag in (bare, wide):
@@ -761,7 +762,17 @@ def test_flagged_nodes_equals_compress(n):
                 members = flagged_nodes(dag, given)
                 assert members == expected
                 assert all(type(v) is int for v in members)
-    assert bare._arrays is None
+        # Only a read of more than half the flags builds the full set,
+        # and only once.
+        if 2 * len(expected) > n:
+            everything = everything or wide._all_nodes
+            assert everything == frozenset(range(n))
+        assert wide._all_nodes is everything
+    assert everything is not None
+    assert bare._arrays is None and bare._all_nodes is None
+    empty = Dag(0, [])
+    adjacency_arrays(empty)
+    assert flagged_nodes(empty, b"") == frozenset()
 
 
 def _eager_sweep(dag: Dag, query: SeparationQuery, stop_at) -> FastSweep:

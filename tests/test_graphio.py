@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from dsep import (
     Dag,
     DuplicateEdge,
     GraphSyntaxError,
+    InvalidArgument,
     SelfLoop,
     UnknownEndpoint,
     augment_dummies,
@@ -94,6 +96,12 @@ class TestParseGraph:
         with pytest.raises(GraphSyntaxError) as info:
             parse_graph("?!\n")
         assert str(info.value).startswith("line 1, column 1: ")
+
+    @pytest.mark.parametrize("text", [None, 3, ["a -> b"], {"a"}, b"a -> b"],
+                             ids=["None", "int", "list", "set", "bytes"])
+    def test_text_that_is_no_str_rejected(self, text):
+        with pytest.raises(InvalidArgument, match="must be a str"):
+            parse_graph(text)
 
     def test_empty_document_yields_empty_graph(self):
         dag = parse_graph("")
@@ -208,6 +216,19 @@ class TestParseGraphJson:
         with pytest.raises(GraphSyntaxError):
             parse_graph_json(doc)
 
+    @pytest.mark.parametrize("text", [None, 3, ["{}"], {"a"}],
+                             ids=["None", "int", "list", "set"])
+    def test_text_that_is_no_str_or_bytes_rejected(self, text):
+        with pytest.raises(InvalidArgument, match="must be a str or bytes"):
+            parse_graph_json(text)
+
+    @pytest.mark.parametrize("make", [bytes, bytearray])
+    def test_bytes_are_read_as_utf8(self, make):
+        dag = parse_graph_json(make('{"edges": [["a", "b"]]}'.encode()))
+        assert dag.edges == ((0, 1),) and dag.names == ("a", "b")
+        with pytest.raises(GraphSyntaxError, match="utf-8"):
+            parse_graph_json(make(b'{"nodes": ["\xe9"]}'))
+
     def test_repeated_node_name_is_a_syntax_error(self):
         with pytest.raises(GraphSyntaxError, match="'a' more than once"):
             parse_graph_json('{"nodes": ["b", "a", "a"]}')
@@ -222,6 +243,41 @@ class TestParseGraphJson:
         assert json_dag.edges == text_dag.edges
         assert [json_dag.node_name(v) for v in range(4)] == [
             text_dag.node_name(v) for v in range(4)]
+
+
+class TestLoadGraphFile:
+    @pytest.mark.parametrize("path", [1.5, None, ["web7.txt"]],
+                             ids=["float", "None", "list"])
+    def test_paths_that_are_no_file_names_rejected(self, path):
+        with pytest.raises(InvalidArgument, match="must be a file name"):
+            load_graph_file(path)
+
+    def test_an_open_file_descriptor_is_neither_read_nor_closed(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"a -> b\n")
+        os.close(write_end)     # so a read meets the end, not a wait
+        try:
+            with pytest.raises(InvalidArgument):
+                load_graph_file(read_end)
+            assert os.read(read_end, 64) == b"a -> b\n"   # still open, unread
+        finally:
+            os.close(read_end)
+
+    def test_path_like_and_bytes_names_load(self):
+        path = DATA_DIR / "diamond4.txt"
+        expected = load_graph_file(str(path)).edges
+        assert load_graph_file(path).edges == expected
+        assert load_graph_file(os.fsencode(path)).edges == expected
+
+    def test_a_file_that_is_no_utf8_is_a_syntax_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"caf\xe9 -> b\n")
+        with pytest.raises(GraphSyntaxError, match="utf-8"):
+            load_graph_file(path)
+
+    def test_a_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_graph_file(tmp_path / "absent.txt")
 
 
 def _named_dag(node_count: int, degree: int, seed: int) -> Dag:
