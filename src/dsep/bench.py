@@ -64,6 +64,8 @@ def build_instance(family: str, edge_count: int, seed: int
     The chain conditions on its midpoint so the sweep exercises both
     adjacency lists; star and random run unconditioned.
     """
+    if type(edge_count) is not int:
+        raise InvalidArgument(f"edge_count must be an int, got {edge_count!r}")
     if family in ("chain", "star") and edge_count < 2:  # 3 distinct nodes
         raise InvalidArgument(
             f"{family} needs edge_count at least 2, got {edge_count}")
@@ -102,11 +104,12 @@ def _best_of(repeats: int, fn):
 
 def _run_fast(dag: Dag, query: SeparationQuery, repeats: int):
     adjacency_arrays(dag)   # built once per Dag: keep it out of every repeat
-    # A budgeted sweep is swept afresh, where the Dag would hand back the
-    # sweep it kept; no whole-graph sweep walks more than 2 links an edge.
-    limit = 2 * len(dag.edges)
-    seconds, swept = _best_of(
-        repeats, lambda: fast_sweep(dag, query, budget=limit))
+
+    def sweep():    # afresh, where the Dag would hand back the sweep it kept
+        dag._last_sweep = None
+        return fast_sweep(dag, query)
+
+    seconds, swept = _best_of(repeats, sweep)
     size = dag.node_count - len(swept.reached | query.conditioning)
     return seconds, size, swept.links_examined
 

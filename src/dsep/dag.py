@@ -50,8 +50,8 @@ class Dag:
     and acyclicity is checked eagerly at construction, so downstream
     algorithms never re-validate.  `_ranks` holds each node's block of a
     topological order, as n bytes (see `_topological_ranks`), or None
-    below 128 nodes.  `_last_sweep` holds the last unbudgeted
-    whole-graph sweep with its node sets (see `engine._kept_sweep`), and
+    below 128 nodes.  `_last_sweep` holds the last whole-graph sweep
+    with its node sets (see `engine._kept_sweep`), and
     `_all_nodes` the set of every id, built by the first dense answer
     read off a Dag that holds its arrays (see `engine.flagged_nodes`).
     """

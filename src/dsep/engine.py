@@ -14,7 +14,7 @@ Two interchangeable engines compute the full separated set:
   the edge count.  One per-state loop walks one FIFO queue, and on a
   graph of 2048 nodes or more hands a whole-graph sweep's wide queues to
   numpy, level by level (as in Beamer et al., SC 2012).  A Dag keeps its
-  last unbudgeted whole-graph sweep, so the requisite tables, the relevant
+  last whole-graph sweep, so the requisite tables, the relevant
   observations and the separated set of one query take one sweep.
 
 Both must agree everywhere; the test suite enforces that against an
@@ -98,9 +98,6 @@ class IndependenceStatement:
                 self.sources & self.targets or
                 self.targets & self.conditioning):
             raise InvalidQuery("statement node sets must be pairwise disjoint")
-
-    def query(self) -> SeparationQuery:
-        return SeparationQuery(self.sources, self.conditioning)
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ class FastSweep:
     `reached` and `parents_expanded` are read off them on demand, each in
     O(node_count).  `links_examined` counts the adjacency lists the sweep
     began, `links_resolved` the parent links lazy marking walked (see
-    `_resolve`); their sum is what a budget caps.
+    `_resolve`); their sum is the charge a budget caps (see `_sweep`).
     """
 
     marks: bytearray
@@ -261,8 +258,7 @@ class FastSweep:
 
 
 def fast_sweep(dag: Dag, query: SeparationQuery,
-               stop_at: Iterable[int] | None = None, *,
-               budget: int | None = None) -> FastSweep:
+               stop_at: Iterable[int] | None = None) -> FastSweep:
     """Linear-time active-trail reachability over the dag itself.
 
     `query` may be anything with `sources` and `conditioning` node sets,
@@ -296,29 +292,12 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     other bits, `reached` and `links_examined` are those of marking A
     first.
 
-    With `budget`, the sweep's charge is `links_examined` plus
-    `links_resolved`.  It returns before it walks a list that would take
-    the charge past the budget, that list counted and the marks partial;
-    resolution returns after the parent list that does.  So a sweep given
-    at least the charge it makes without a budget returns that same
-    sweep, and one given less returns a charge above the budget (a wide
-    frontier's lists count together, so a whole-graph sweep may then
-    finish).
-
-    Without `stop_at`, on a graph of `_WIDE_NODES` nodes or more, the
-    loop looks at its queue every 4 * `_LEVEL_MIN` links.  Once
-    `_LEVEL_MIN` states wait, or the list it paused before is that long,
-    `_expand_wide` takes them, and the levels after them, with numpy
-    until a level narrows, over the
-    `adjacency_arrays` a Dag builds on its first wide queue; the loop
-    resumes from that level.  What a whole-graph sweep reaches and walks
-    does not depend on the order it takes the states in, so the marks
-    and the count are the same either way, and `links_resolved` is 0.
-    A Dag keeps its last unbudgeted whole-graph sweep with its node sets
-    (see `_kept_sweep`), and the same sets again get a copy of its marks:
-    `requisite_parameters` and then `relevant_variables` on the same query
-    sweep the graph once, unless that sweep would build the Dag's arrays.
-    A budgeted sweep neither reads nor keeps it.
+    Without `stop_at`, the sweep is the whole-graph one the Dag keeps
+    with its node sets (see `_kept_sweep`), and the same sets again get a
+    copy of its marks: `requisite_parameters` and then
+    `relevant_variables` on the same query sweep the graph once.  On a
+    graph of `_WIDE_NODES` nodes or more its wide queues go to numpy,
+    which marks and counts as the loop does, and `links_resolved` is 0.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
     `marks[v]`: 1 in An(conditioning), an open collider when entered
@@ -328,23 +307,14 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     in `stop_at`.  A node is reached iff it has bit 8 or 16; the sources
     get both first.
     """
-    if budget is not None and type(budget) is not int:
-        raise InvalidQuery(f"budget must be an int, got {budget!r}")
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
-    if stop_at is not None:
-        # No sweep charges more: 2 links an edge, 1 resolved.
-        limit = 3 * len(dag.edges) if budget is None else budget
-        swept = _sweep(dag, sources, cond, checked_nodes(dag, stop_at), limit)
-    elif budget is None:
+    if stop_at is None:
         kept = _kept_sweep(dag, sources, cond)
         return FastSweep(kept.marks.copy(), kept.links_examined, 0)
-    else:
-        swept = _whole_sweep(dag, sources, cond, budget)
-    if type(swept) is _Paused:
-        return FastSweep(swept.marks, swept.links + swept.unwalked,
-                         swept.resolved)
-    return swept
+    # No sweep charges more, so none pauses: 2 links an edge, 1 resolved.
+    return _sweep(dag, sources, cond, checked_nodes(dag, stop_at),
+                  3 * len(dag.edges))
 
 
 class _Paused(NamedTuple):
@@ -366,15 +336,19 @@ class _Paused(NamedTuple):
 
 def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
            budget: int, paused: _Paused | None = None) -> FastSweep | _Paused:
-    """`fast_sweep` on checked node sets that pauses rather than returns
-    when its charge would pass `budget`, and resumes from the `_Paused` it
-    gave.  With `stop` None it sweeps the whole graph in the loop alone.
+    """`fast_sweep` on checked node sets under a budget, which
+    `is_dseparated` gives each side of a check.  The charge is the links
+    examined plus the links `_resolve` walks.  The sweep pauses before it
+    walks a list that would take the charge past `budget`, that list
+    counted (`links + unwalked + resolved`), and resumes from the
+    `_Paused` it gave; `_resolve` stops after the parent list that does.
+    With `stop` None it sweeps the whole graph in the loop alone.
 
     However often it pauses, it ends with the marks and counts of one
-    unbudgeted run: it pauses before it walks a list, which the resume
-    walks and counts, and `_resolve` parks what it has not walked.  A
-    sweep that never pauses builds no `_Paused`.  A resume reads no node
-    set, and returns the same `_Paused` if its charge passes `budget` too.
+    unpaused run: the resume walks and counts the list it paused before,
+    and `_resolve` parks what it has not walked.  A sweep that never
+    pauses builds no `_Paused`.  A resume reads no node set, and returns
+    the same `_Paused` if its charge passes `budget` too.
     """
     parents, children, rank = dag.parents, dag.children, dag._ranks
     if paused is None:
@@ -471,47 +445,33 @@ def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
                    unwalked, resolved)
 
 
-def _kept_sweep(dag: Dag, sources: NodeSet, cond: NodeSet,
-                build: bool = True) -> FastSweep | None:
-    """The unbudgeted whole-graph sweep of checked node sets.  The Dag
-    keeps the last one with its node sets in `dag._last_sweep`, replaced
-    whole, and hands it out again while the sets match; its marks are
-    read, never written.  With `build` False, a sweep that would build
-    the Dag's arrays is dropped instead, and None returned."""
+def _kept_sweep(dag: Dag, sources: NodeSet, cond: NodeSet) -> FastSweep:
+    """The whole-graph sweep of checked node sets.  The Dag keeps the last
+    one with its node sets in `dag._last_sweep`, replaced whole, and hands
+    it out again while the sets match; its marks are read, never written.
+
+    On a graph of `_WIDE_NODES` nodes or more the sweep pauses every
+    4 * `_LEVEL_MIN` links, about 50 us of the loop, to look at its queue.
+    Once `_LEVEL_MIN` states wait, or it paused before a list of
+    `_LEVEL_MIN` links or more (a hub's), `_expand_wide` takes the waiting
+    states and the levels after them with numpy, and the loop resumes from
+    the level that narrowed.  A resume starts from a fresh list of the
+    waiting states, so it skips none."""
     last = dag._last_sweep
-    if last is None or last[0] != sources or last[1] != cond:
-        # No whole-graph sweep charges more: 2 links an edge.
-        swept = _whole_sweep(dag, sources, cond, 2 * len(dag.edges), build)
-        if swept is None:
-            return None
-        last = dag._last_sweep = sources, cond, swept
-    return last[2]
-
-
-def _whole_sweep(dag: Dag, sources: NodeSet, cond: NodeSet, budget: int,
-                 build: bool = True) -> FastSweep | _Paused | None:
-    """`_sweep` without a stop set.  On a graph of `_WIDE_NODES` nodes or
-    more it pauses every 4 * `_LEVEL_MIN` links, about 50 us of the loop,
-    to look at its queue.  Once `_LEVEL_MIN` states wait, or it paused
-    before a list of `_LEVEL_MIN` links or more (a hub's), `_expand_wide`
-    takes the waiting states and the levels after them with numpy, and
-    the loop resumes from the level that narrowed.  A resume starts from
-    a fresh list of the waiting states, so it skips none.  With `build`
-    False and no arrays built, it returns None there instead."""
-    if dag.node_count < _WIDE_NODES:
-        return _sweep(dag, sources, cond, None, budget)
-    poll = 4 * _LEVEL_MIN
+    if last is not None and last[0] == sources and last[1] == cond:
+        return last[2]
+    budget = 2 * len(dag.edges)     # no whole-graph sweep charges more
+    poll = 4 * _LEVEL_MIN if dag.node_count >= _WIDE_NODES else budget
     swept = _sweep(dag, sources, cond, None, min(poll, budget))
-    while type(swept) is _Paused and swept.links + swept.unwalked <= budget:
+    while type(swept) is _Paused:
         mark, queue, at, _, _, _, links, unwalked, _ = swept
         queue = queue[at:]
         if len(queue) >= _LEVEL_MIN or unwalked >= _LEVEL_MIN:
-            if not build and dag._arrays is None:
-                return None
             queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
             links, unwalked = links + walked, 0
         swept = _sweep(dag, (), (), None, min(links + unwalked + poll, budget),
                        _Paused(mark, queue, 0, None, 0, 0, links, unwalked, 0))
+    dag._last_sweep = sources, cond, swept
     return swept
 
 

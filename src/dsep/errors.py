@@ -57,7 +57,7 @@ class InvalidArgument(DsepError, ValueError):
 
 
 class InvalidQuery(DsepError, ValueError):
-    """A query's node sets are no id sets or overlap, or its method or budget is bad."""
+    """A query's node sets are no id sets or overlap, or its method is unknown."""
 
 
 class MalformedTrail(DsepError):

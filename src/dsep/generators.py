@@ -31,6 +31,8 @@ def random_dag(rng: random.Random, node_count: int,
     """Erdos-Renyi style dag under a hidden random topological order."""
     if type(node_count) is not int or node_count < 0:
         raise InvalidArgument("node_count must be a nonnegative int")
+    if not isinstance(edge_prob, (int, float)):
+        raise InvalidArgument(f"edge_prob must be a number, got {edge_prob!r}")
     order = list(range(node_count))
     rng.shuffle(order)
     edges = []
@@ -86,7 +88,10 @@ def random_sparse_dag(edge_count: int, seed: int) -> Dag:
     if node_count * (node_count - 1) // 2 < edge_count:    # only 11 fails
         raise InvalidArgument(f"{node_count} nodes cannot hold {edge_count} "
                               f"forward edges")
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError as exc:
+        raise InvalidArgument(f"bad seed: {exc}") from None
     edges = [(i, i + 1) for i in range(node_count - 1)]
     present = set(edges)
     while len(edges) < edge_count:

@@ -181,8 +181,8 @@ def random_network(dag: Dag, arity: int, seed: int) -> DiscreteNetwork:
     every configuration possible and no row degenerate.
     """
     import numpy as np
-    if arity < 2:
-        raise InvalidArgument("arity must be at least 2")
+    if type(arity) is not int or arity < 2:
+        raise InvalidArgument(f"arity must be an int of at least 2, got {arity!r}")
     arities = (arity,) * dag.node_count
     _check_joint_size(arities)
     rng = np.random.default_rng(seed)
@@ -286,8 +286,7 @@ def ci_holds(table: JointTable, first: Iterable[int], second: Iterable[int],
     Assignments with zero conditioning mass are skipped: they constrain
     nothing.
     """
-    if tol < 0:
-        raise InvalidArgument("tolerance must be nonnegative")
+    _check_tol(tol)
     return max_ci_violation(table, first, second, conditioning) <= tol
 
 
@@ -367,12 +366,17 @@ def sample_triples(dag: Dag, seed: int) -> list[tuple[int, frozenset[int], int]]
     return sorted(chosen, key=lambda t: (t[0], t[2], sorted(t[1])))
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is no nonnegative number (NaN included)."""
+    if not isinstance(tol, (int, float)) or not tol >= 0:
+        raise InvalidArgument(f"tolerance must be nonnegative, got {tol!r}")
+
+
 def _check_numeric_settings(trials: int, tol: float) -> None:
-    """Reject a trial count below one or a negative tolerance."""
-    if trials < 1:
-        raise InvalidArgument("need at least one trial network")
-    if tol < 0:
-        raise InvalidArgument("tolerance must be nonnegative")
+    """Reject a trial count that is no int of at least one, or a bad tolerance."""
+    if type(trials) is not int or trials < 1:
+        raise InvalidArgument(f"need at least one trial network, got {trials!r}")
+    _check_tol(tol)
 
 
 def check_theorem2(dag: Dag, trials: int, seed: int, *,

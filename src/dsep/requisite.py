@@ -10,11 +10,7 @@ child of v while v is unconditioned.  Reaching v' opens no new state of
 the base dag.  This is the "top mark" of Shachter's Bayes-Ball (UAI
 1998), so each answer takes one linear sweep of the base dag.  The
 tables are read off the whole-graph sweep, which the Dag keeps, so the
-relevant observations of the same query cost a copy of its marks.  Every
-parent list the sweep walks belongs to An(sources | conditioning), so
-where the whole-graph sweep would build the Dag's arrays (see
-`engine.fast_sweep`), a sweep confined to that set, which never loads
-numpy, gives the tables instead.
+relevant observations of the same query cost a copy of its marks.
 `augment_dummies` still builds the augmented dag, as the tests' referee.
 """
 
@@ -63,15 +59,12 @@ def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
     The nodes whose parent list one sweep of `dag` walks: the same set as
     the dummies of `augment_dummies(dag)` left d-connected to the sources.
     The sweep is the whole-graph one, which the Dag keeps for
-    `relevant_variables` and `dsep_set_fast`, unless it would build the
-    Dag's arrays.  Each walked list belongs to a node of An(sources |
-    conditioning), so then the sweep is confined to that set (an empty
-    stop set) and never goes wide.
+    `relevant_variables` and `dsep_set_fast`.  Each walked list belongs
+    to a node of An(sources | conditioning), so a sweep confined to that
+    set (an empty stop set) walks the same lists.
     """
     swept = _kept_sweep(dag, checked_nodes(dag, query.sources),
-                        checked_nodes(dag, query.conditioning), build=False)
-    if swept is None:
-        swept = fast_sweep(dag, query, stop_at=())
+                        checked_nodes(dag, query.conditioning))
     return flagged_nodes(dag, swept.parents_expanded)
 
 

@@ -116,8 +116,10 @@ class TestQueryValidation:
             IndependenceStatement({0}, {1}, {1})
 
     def test_statement_query_drops_targets(self):
-        statement = IndependenceStatement({0}, {1}, {2})
-        assert statement.query() == SeparationQuery({0}, {1})
+        # A statement serves as its own query: the targets play no part.
+        dag = chain_dag(4)
+        swept = fast_sweep(dag, IndependenceStatement({0}, {1}, {2}))
+        assert swept.marks == fast_sweep(dag, SeparationQuery({0}, {1})).marks
 
 
 def _trail(dag: Dag, *names: str, via) -> Trail:
@@ -434,8 +436,9 @@ class TestIsDseparated:
         verdicts = {
             is_dseparated(dag, statement, method=method)
             for method in ("fast", "faithful")}
-        verdicts |= {targets <= dsep_set_fast(dag, statement.query()),
-                     targets <= dsep_set(dag, statement.query())}
+        query = SeparationQuery(sources, conditioning)
+        verdicts |= {targets <= dsep_set_fast(dag, query),
+                     targets <= dsep_set(dag, query)}
         assert len(verdicts) == 1
 
     @settings(max_examples=150, deadline=None)
@@ -450,7 +453,8 @@ class TestIsDseparated:
                                      set(statement.conditioning))
         assert is_dseparated(dag, statement) == expected
         assert is_dseparated(dag, statement, method="faithful") == expected
-        swept = fast_sweep(dag, statement.query(), stop_at=statement.targets)
+        query = SeparationQuery(statement.sources, statement.conditioning)
+        swept = fast_sweep(dag, query, stop_at=statement.targets)
         assert swept.links_examined <= 2 * _incident_edges(
             dag, statement.sources | statement.targets | statement.conditioning)
 
@@ -483,10 +487,11 @@ class TestIsDseparated:
         edges += [(0, 1002), (1, 1002)]
         dag = Dag(1003, edges)
         statement = IndependenceStatement({0}, (), {1})
-        swept = fast_sweep(dag, statement.query(), stop_at={1})
+        query = SeparationQuery(statement.sources, statement.conditioning)
+        swept = fast_sweep(dag, query, stop_at={1})
         assert 1 not in swept.reached
         assert swept.links_examined <= 2 * _incident_edges(dag, {0, 1})
-        assert fast_sweep(dag, statement.query()).links_examined > 400
+        assert fast_sweep(dag, query).links_examined > 400
         assert is_dseparated(dag, statement)
 
     def test_foreign_stop_node_rejected(self, web7):
@@ -522,8 +527,7 @@ class TestNonIntegerIds:
 
 
 def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
-                          level_min: int | None,
-                          budget: int | None = None) -> FastSweep:
+                          level_min: int | None) -> FastSweep:
     """An unconfined `fast_sweep`, swept afresh, that hands its queue to
     numpy once `level_min` states wait (it looks every 4 * `level_min`
     links): 1 puts nearly every level on arrays, and a huge `level_min`
@@ -532,11 +536,11 @@ def _sweep_with_level_min(dag: Dag, query: SeparationQuery,
     settings: graphs below `_WIDE_NODES` nodes then take the loop alone."""
     dag._last_sweep = None      # no kept sweep answers for this one
     if level_min is None:
-        return fast_sweep(dag, query, budget=budget)
+        return fast_sweep(dag, query)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dsep.engine._LEVEL_MIN", level_min)
         patch.setattr("dsep.engine._WIDE_NODES", 0)
-        return fast_sweep(dag, query, budget=budget)
+        return fast_sweep(dag, query)
 
 
 def _per_state_sweep(dag: Dag, query: SeparationQuery) -> tuple[bytearray, int]:
@@ -653,10 +657,11 @@ class TestArrayLevels:
     def test_confined_sweeps_never_build_the_arrays(self):
         dag = _random_pairs_dag(20_000, 60_000, 1)
         statement = IndependenceStatement({0}, {7, 900}, {dag.node_count - 1})
+        query = SeparationQuery(statement.sources, statement.conditioning)
         is_dseparated(dag, statement)
-        requisite_parameters(dag, statement.query())
+        fast_sweep(dag, query, stop_at=())
         assert dag._arrays is None
-        dsep_set_fast(dag, statement.query())
+        dsep_set_fast(dag, query)
         assert dag._arrays is not None
 
     def test_confined_sweeps_never_go_wide(self, monkeypatch):
@@ -672,7 +677,6 @@ class TestArrayLevels:
             assert swept.links_examined > len(query.sources)
         assert is_dseparated(dag, IndependenceStatement(
             query.sources, query.conditioning, {4_999})) is False
-        requisite_parameters(dag, query)
         assert dag._arrays is None
 
     @pytest.mark.parametrize("make", [
@@ -812,16 +816,15 @@ def confined_sweeps(draw: st.DrawFn,
 
 
 class TestLastSweep:
-    """A Dag keeps its last unbudgeted whole-graph sweep (`Dag._last_sweep`);
-    what it answers never depends on that."""
+    """A Dag keeps its last whole-graph sweep (`Dag._last_sweep`); what it
+    answers never depends on that."""
 
     READ_OFFS = (requisite_parameters, relevant_variables, dsep_set_fast)
 
     @staticmethod
     def _make(n: int = 3_000) -> Dag:
-        """Below `_WIDE_NODES` nodes `requisite_parameters` reads the kept
-        sweep; from there on, a confined one until the Dag holds its
-        arrays, since whole-graph sweeps of these graphs go wide."""
+        """From `_WIDE_NODES` nodes on, whole-graph sweeps of these graphs
+        go wide."""
         return _shuffled(_random_pairs_dag(n, 2 * n, 5), 5)
 
     @staticmethod
@@ -859,16 +862,17 @@ class TestLastSweep:
         assert swept.marks is not kept[0][2].marks
         assert one._last_sweep is kept[0] and two._last_sweep is kept[1]
 
-    @pytest.mark.parametrize("make,keeps,arrays", [
-        (lambda: TestLastSweep._make(300), True, False),
-        (lambda: _windowed_dag(3_000, 12, 5), True, False),     # narrow
-        (lambda: TestLastSweep._make(3_000), False, False),     # goes wide
+    @pytest.mark.parametrize("make,arrays,wide", [
+        (lambda: TestLastSweep._make(300), False, False),
+        (lambda: _windowed_dag(3_000, 12, 5), False, False),    # narrow
+        (lambda: TestLastSweep._make(3_000), False, True),      # goes wide
         (lambda: TestLastSweep._make(3_000), True, True),
     ])
-    def test_a_requisite_query_sweeps_once_unless_it_would_build_arrays(
-            self, monkeypatch, make, keeps, arrays):
-        """`requisite_parameters` keeps the whole-graph sweep, unless that
-        would build the Dag's arrays; a Dag holding them keeps it."""
+    def test_a_requisite_query_sweeps_once(self, monkeypatch, make, arrays,
+                                           wide):
+        """`requisite_parameters` keeps the whole-graph sweep, building the
+        Dag's arrays where it goes wide, and `relevant_variables` on the
+        same query reads it without sweeping again."""
         dag = make()
         query, other = self._queries(dag)
         relevant = relevant_variables(make(), query)
@@ -876,27 +880,21 @@ class TestLastSweep:
             dsep_set_fast(dag, other)
             assert dag._arrays is not None
         requisite_parameters(dag, query)
-        assert (dag._arrays is not None) == arrays
-        kept = dag._last_sweep is not None and dag._last_sweep[:2] == (
-            query.sources, query.conditioning)
-        assert kept == keeps
+        assert (dag._arrays is not None) == wide
+        assert dag._last_sweep[:2] == (query.sources, query.conditioning)
 
         def sweep(*args):
             raise AssertionError("the kept sweep was swept again")
 
-        monkeypatch.setattr("dsep.engine._whole_sweep", sweep)
-        if keeps:
-            assert relevant_variables(dag, query) == relevant
-        else:
-            with pytest.raises(AssertionError):
-                relevant_variables(dag, query)
+        monkeypatch.setattr("dsep.engine._sweep", sweep)
+        assert relevant_variables(dag, query) == relevant
 
     @pytest.mark.parametrize("n", [300, 3_000])
     def test_mutating_a_result_changes_no_later_answer(self, n):
         dag = self._make(n)
         query = self._queries(dag)[1]
         relevant = relevant_variables(self._make(n), query)
-        requisite_parameters(dag, query)    # kept on the small graph
+        requisite_parameters(dag, query)    # keeps the whole-graph sweep
         swept = fast_sweep(dag, query)
         links = swept.links_examined
         swept.marks[:] = b"\xff" * dag.node_count
@@ -931,21 +929,6 @@ class TestLastSweep:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(finished) == 4 and wrong == []
-
-    def test_budgeted_sweeps_neither_read_nor_write_it(self):
-        dag = self._make()
-        query = self._queries(dag)[0]
-        full = fast_sweep(dag, query)
-        kept = dag._last_sweep
-        for budget in (0, full.links_examined // 2, full.links_examined):
-            fast_sweep(dag, query, budget=budget)
-            assert dag._last_sweep is kept
-        # A kept sweep with the query's node sets but no marks.
-        dag._last_sweep = (kept[0], kept[1],
-                           FastSweep(bytearray(dag.node_count), 0, 0))
-        swept = fast_sweep(dag, query, budget=full.links_examined)
-        assert swept.marks == full.marks
-        assert swept.links_examined == full.links_examined
 
     @settings(max_examples=60, deadline=None)
     @given(case=confined_sweeps())
@@ -1010,8 +993,9 @@ class TestLazyAncestralMarks:
         pa = frozenset(dag.parents[y])
         statement = IndependenceStatement({y}, pa, {x})
         assert is_dseparated(dag, statement)
-        lazy = fast_sweep(dag, statement.query(), stop_at={x}).marks
-        eager = _eager_sweep(dag, statement.query(), {x}).marks
+        query = SeparationQuery(statement.sources, statement.conditioning)
+        lazy = fast_sweep(dag, query, stop_at={x}).marks
+        eager = _eager_sweep(dag, query, {x}).marks
         band = ancestral_set(dag, pa | {x})
         assert sum(eager[v] & 2 != 0 for v in band) == len(band)
         assert sum(lazy[v] & 2 != 0 for v in band) < 0.1 * len(band)
@@ -1151,7 +1135,7 @@ class TestTwoSidedChecks:
         # unbudgeted sweep, and the X side's with that of one fresh sweep
         # under its last budget.
         assert runs[-1].charge == _charge(from_y)
-        last_x = fast_sweep(dag, statement, stop_at=y, budget=runs[-2].budget)
+        last_x = _sweep(dag, x, z, y, runs[-2].budget)
         assert runs[-2].charge == _charge(last_x)
         examined = runs[-2].charge + runs[-1].charge
         assert examined < 0.1 * from_x.links_examined
@@ -1255,14 +1239,15 @@ class TestGraphoidAxioms:
 
 
 class TestSweepBudget:
-    """`fast_sweep(..., budget=b)` returns the sweep it makes without a
-    budget when that charges at most b, links examined plus links
-    resolved, stopping sweeps included, and otherwise a charge above b."""
+    """`engine._sweep(..., budget=b)`, the sweep `is_dseparated` runs on
+    each side of a check, returns the sweep `fast_sweep` makes when that
+    charges at most b, links examined plus links resolved, stopping sweeps
+    included, and otherwise pauses with a charge above b."""
 
     @staticmethod
-    def _assert_contract(full: FastSweep, swept: FastSweep,
+    def _assert_contract(full: FastSweep, swept: FastSweep | _Paused,
                          budget: int) -> None:
-        assert type(swept) is FastSweep
+        assert (type(swept) is FastSweep) == (_charge(swept) <= budget)
         if _charge(swept) <= budget:
             assert swept.links_examined == full.links_examined
             assert swept.links_resolved == full.links_resolved
@@ -1274,43 +1259,34 @@ class TestSweepBudget:
     @given(case=confined_sweeps(), data=st.data())
     def test_confined_sweeps_keep_the_contract(self, case, data):
         dag, query, stop = case
+
+        def budgeted(budget: int) -> FastSweep | _Paused:
+            return _sweep(dag, query.sources, query.conditioning, stop,
+                          budget)
+
         full = fast_sweep(dag, query, stop_at=stop)
+        assert type(full) is FastSweep      # its budget, 3E, never pauses
         charge = _charge(full)
         drawn = data.draw(st.integers(0, charge + 3))
         longest = max(map(len, dag.children + dag.parents), default=0)
         for budget in {0, drawn, charge, 3 * len(dag.edges)}:
-            swept = fast_sweep(dag, query, stop_at=stop, budget=budget)
+            swept = budgeted(budget)
             self._assert_contract(full, swept, budget)
             # it stopped at the one list that passed the budget
             assert _charge(swept) <= budget + longest
-        at = fast_sweep(dag, query, stop_at=stop, budget=charge)
+        at = budgeted(charge)
         assert _charge(at) == charge and at.marks == full.marks
         if charge:
-            short = fast_sweep(dag, query, stop_at=stop, budget=charge - 1)
+            short = budgeted(charge - 1)
             assert _charge(short) > charge - 1
 
-    @pytest.mark.parametrize("level_min", [10**9, 1, 8, None])
-    def test_whole_graph_sweeps_keep_the_contract(self, level_min):
-        dag = _random_pairs_dag(400, 1_200, 3)
-        query = SeparationQuery({0, 200}, {5, 9, 300})
-        full = _sweep_with_level_min(dag, query, level_min)
-        assert full.links_resolved == 0
-        assert (full.marks, full.links_examined) == _per_state_sweep(dag,
-                                                                     query)
-        links = full.links_examined
-        for budget in range(0, links + 2, 37):
-            swept = _sweep_with_level_min(dag, query, level_min, budget)
-            self._assert_contract(full, swept, budget)
-        assert _sweep_with_level_min(dag, query, level_min,
-                                     links).marks == full.marks
-        assert _sweep_with_level_min(dag, query, level_min,
-                                     links - 1).links_examined > links - 1
-
     @pytest.mark.parametrize("n", [4, 200])     # eager and lazy marking
-    @pytest.mark.parametrize("budget", [0, 1, None])
+    @pytest.mark.parametrize("budget", [0, 1, None])    # None: `fast_sweep`
     def test_a_source_in_stop_at_ends_before_its_first_link(self, n, budget):
-        swept = fast_sweep(chain_dag(n), SeparationQuery({2}), stop_at={2, 4},
-                           budget=budget)
+        dag, query, stop = chain_dag(n), SeparationQuery({2}), {2, 4}
+        swept = (fast_sweep(dag, query, stop_at=stop) if budget is None
+                 else _sweep(dag, query.sources, query.conditioning, stop,
+                             budget))
         assert swept.links_examined == swept.links_resolved == 0
         assert swept.reached == {2}
 

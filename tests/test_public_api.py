@@ -88,7 +88,7 @@ SIGNATURES = {
     "dsep_set": ("dag", "query"),
     "dsep_set_fast": ("dag", "query"),
     "enumerate_simple_trails": ("dag", "start", "goal"),
-    "fast_sweep": ("dag", "query", "stop_at", "budget"),
+    "fast_sweep": ("dag", "query", "stop_at"),
     "find_reachable": ("graph", "legal", "sources", "stop_at"),
     "is_active_trail": ("dag", "trail", "conditioning"),
     "is_dseparated": ("dag", "statement", "method"),
@@ -133,11 +133,23 @@ def test_public_signatures_are_pinned():
     lambda: dsep.random_sparse_dag("a", 1),
     lambda: dsep.random_dag(random.Random(1), "x"),
     lambda: dsep.corpus_dag(random.Random(1), "x"),
-    lambda: dsep.fast_sweep(dsep.chain_dag(3), dsep.SeparationQuery({0}),
-                            budget="x"),
+    lambda: dsep.random_dag(random.Random(1), 3, edge_prob="x"),
+    lambda: dsep.random_sparse_dag(20, [1]),
+    lambda: dsep.ci_holds(dsep.joint(dsep.random_network(dsep.chain_dag(1),
+                                                         2, 1)),
+                          {0}, {1}, tol="x"),
+    lambda: dsep.random_network(dsep.chain_dag(1), "2", 1),
+    lambda: dsep.random_network(dsep.chain_dag(1), 2.5, 1),
+    lambda: dsep.check_theorem2(dsep.chain_dag(2), "3", 1),
+    lambda: dsep.check_theorem2(dsep.chain_dag(2), 3, 1, soundness_tol="x"),
+    lambda: dsep.run_bench("chain", ["a"]),
+    lambda: dsep.run_bench("random", [20], seed=[1]),
 ], ids=["build_dag-names", "build_dag-no-names", "Dag-names", "chain_dag",
         "star_dag", "random_sparse_dag", "random_dag", "corpus_dag",
-        "fast_sweep-budget"])
+        "random_dag-edge_prob", "random_sparse_dag-seed", "ci_holds-tol",
+        "random_network-arity-str", "random_network-arity-float",
+        "check_theorem2-trials", "check_theorem2-soundness_tol",
+        "run_bench-edge_counts", "run_bench-seed"])
 def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
     with pytest.raises(dsep.DsepError) as raised:
         call()
