@@ -135,6 +135,11 @@ def _run_moral(dag: Dag, statement: IndependenceStatement, repeats: int):
 def run_bench(family: str, edge_counts: Sequence[int],
               seed: int = DEFAULT_SEED) -> BenchReport:
     """Time fast, faithful, and moral algorithms over one family."""
+    try:
+        edge_counts = list(edge_counts)
+    except TypeError:
+        raise InvalidArgument(f"edge_counts must be an iterable of ints, "
+                              f"got {edge_counts!r}") from None
     rows = []
     for edge_count in edge_counts:
         dag, query, statement = build_instance(family, edge_count, seed)

@@ -33,18 +33,18 @@ sweep from one side can cost orders of magnitude less than the sweep from
 the other.  So `is_dseparated` sweeps from X and from Y in turn, each
 under a budget that starts at 64 and grows 4x a round, and reads the
 verdict off the first side that finishes.  A side's charge is the links
-it examines plus the parent links its lazy marking walks; a side that
-passes its budget pauses, and the next round resumes it (`_sweep`), so a
-check charges at most about 5 times its cheaper side.  The faithful
+it examines plus the parent links its lazy marking walks.  Each side is a
+generator (`_sweep`): one that passes its budget pauses with its state in
+its frame, and the next round sends it the larger budget, so a check
+charges at most about 5 times its cheaper side.  The faithful
 engine stays one-sided: it is the paper's procedure, kept as a referee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import length_hint
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from itertools import compress
+from typing import TYPE_CHECKING, Generator, Iterable
 
 from .dag import (Dag, NodeSet, adjacency_arrays, checked_nodes,
                   descendant_table, doubled_graph, mark_ancestors)
@@ -313,83 +313,65 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         kept = _kept_sweep(dag, sources, cond)
         return FastSweep(kept.marks.copy(), kept.links_examined, 0)
     # No sweep charges more, so none pauses: 2 links an edge, 1 resolved.
-    return _sweep(dag, sources, cond, checked_nodes(dag, stop_at),
-                  3 * len(dag.edges))
-
-
-class _Paused(NamedTuple):
-    """All `_sweep` needs to take up the state it paused on again: its
-    queue and its place there, lazy marking's state, and the counts.
-    `unwalked` is the length of the list it paused before: in the charge,
-    not in `links`."""
-
-    marks: bytearray
-    queue: list[int]
-    at: int
-    parked: list[int] | None
-    top: int
-    bound: int
-    links: int
-    unwalked: int
-    resolved: int
+    return next(_sweep(dag, sources, cond, checked_nodes(dag, stop_at),
+                       3 * len(dag.edges)))
 
 
 def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
-           budget: int, paused: _Paused | None = None) -> FastSweep | _Paused:
-    """`fast_sweep` on checked node sets under a budget, which
-    `is_dseparated` gives each side of a check.  The charge is the links
-    examined plus the links `_resolve` walks.  The sweep pauses before it
-    walks a list that would take the charge past `budget`, that list
-    counted (`links + unwalked + resolved`), and resumes from the
-    `_Paused` it gave; `_resolve` stops after the parent list that does.
-    With `stop` None it sweeps the whole graph in the loop alone.
+           budget: int) -> Generator[FastSweep | None, int, None]:
+    """`fast_sweep` on checked node sets, as a generator that yields its
+    `FastSweep` last.  `is_dseparated` runs one on each side of a check
+    under a budget on its charge, the links examined plus the links
+    `_resolve` walks.  Before the sweep walks a list that would take the
+    charge past `budget`, that list counted, it yields None and takes the
+    next budget from `send`; `_resolve`, run through `yield from`, pauses
+    after the parent list that does.  The queue, the place there and lazy
+    marking's state stay in the generators' frames, so however often it
+    pauses, the sweep ends with the marks and counts of one unpaused run.
 
-    However often it pauses, it ends with the marks and counts of one
-    unpaused run: the resume walks and counts the list it paused before,
-    and `_resolve` parks what it has not walked.  A sweep that never
-    pauses builds no `_Paused`.  A resume reads no node set, and returns
-    the same `_Paused` if its charge passes `budget` too.
+    With `stop` None it sweeps the whole graph.  On a graph of
+    `_WIDE_NODES` nodes or more it then yields nothing but its `FastSweep`
+    and ignores `budget`: every 4 * `_LEVEL_MIN` links it stops to look at
+    its own queue.  Once `_LEVEL_MIN` states wait, or the list it stopped
+    before has `_LEVEL_MIN` links or more (a hub's), `_expand_wide` takes
+    the waiting states, the one it stopped at first, and the levels after
+    them with numpy, and the loop goes on in place with the level that
+    narrowed, spliced into the queue behind that state.
     """
     parents, children, rank = dag.parents, dag.children, dag._ranks
-    if paused is None:
-        n = dag.node_count
-        parked, top = None, 0   # ranks at or above `bound` are resolved
-        # The bits are written as literals: a global lookup per link costs more.
-        if stop is None:    # the whole graph
-            stop, mark = (), bytearray(b"\x02") * n
-            if cond:
-                mark_ancestors(dag, cond, mark, 1, 4)
-        elif rank is None:
-            mark = bytearray(n)
-            if cond:
-                mark_ancestors(dag, cond, mark, 1 | 2, 4)
-            if stop:
-                mark_ancestors(dag, stop, mark, 2, 128)
-        else:
-            mark = bytearray(n)
-            for v in cond:
-                mark[v] = 1 | 2 | 4
-            for v in stop:
-                mark[v] |= 2 | 128
-            parked = [*cond, *(stop - cond)]    # marked, parents not walked
-            if parked:
-                top = max(map(rank.__getitem__, parked)) + 1
-        queue = []      # v: arrived at v along an arrow into v; ~v: out of v
-        for j in sorted(sources):
-            mark[j] |= 8 | 16
-            queue.append(~j)
-        if stop and not stop.isdisjoint(sources):
-            queue = []
-        bound, at, ops, resolved = top, 0, 0, 0
+    n = dag.node_count
+    parked, top, poll = None, 0, 0  # ranks at or above `bound` are resolved
+    # The bits are written as literals: a global lookup per link costs more.
+    if stop is None:    # the whole graph
+        stop, mark = (), bytearray(b"\x02") * n
+        if cond:
+            mark_ancestors(dag, cond, mark, 1, 4)
+        if n >= _WIDE_NODES:
+            poll = budget = 4 * _LEVEL_MIN
+    elif rank is None:
+        mark = bytearray(n)
+        if cond:
+            mark_ancestors(dag, cond, mark, 1 | 2, 4)
+        if stop:
+            mark_ancestors(dag, stop, mark, 2, 128)
     else:
-        mark, queue, at, parked, top, bound, ops, unwalked, resolved = paused
-        if ops + unwalked + resolved > budget:  # it passed this budget too
-            return paused
-    room = budget - resolved    # what `ops` may reach
-    states = iter(queue)    # the list grows while it is walked: a FIFO queue
-    if at:      # skip the states walked before the pause
-        next(islice(states, at, at), None)
-    for state in states:
+        mark = bytearray(n)
+        for v in cond:
+            mark[v] = 1 | 2 | 4
+        for v in stop:
+            mark[v] |= 2 | 128
+        parked = [*cond, *(stop - cond)]    # marked, parents not walked
+        if parked:
+            top = max(map(rank.__getitem__, parked)) + 1
+    queue = []      # v: arrived at v along an arrow into v; ~v: out of v
+    for j in sorted(sources):
+        mark[j] |= 8 | 16
+        queue.append(~j)
+    if stop and not stop.isdisjoint(sources):
+        queue = []
+    bound, at, ops, resolved = top, 0, 0, 0
+    room = budget       # what `ops` may reach: the budget less `resolved`
+    for state in queue:     # the list grows while it is walked: a FIFO queue
         if state >= 0:
             v = state
             m = mark[v]
@@ -400,20 +382,25 @@ def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
             expand_in = not m & 4
             if (bound and expand_in and rank[v] < bound
                     and children[v]):   # kids unresolved
-                bound, walked = _resolve(parents, rank, mark, parked, top,
-                                         bound, rank[v], room - ops)
-                resolved += walked
-                room -= walked
-                if ops > room:
-                    unwalked = 0
-                    break
+                bound, charge, budget = yield from _resolve(
+                    parents, rank, mark, parked, top, bound, rank[v],
+                    ops + resolved, room + resolved)
+                resolved = charge - ops
+                room = budget - resolved
                 m = mark[v]
         if not m & (4 | 32):
             kids = children[v]
             ops += len(kids)
             if ops > room:
-                unwalked = len(kids)
-                break
+                if poll:    # numpy takes the lists whose bits are clear
+                    at = queue.index(state, at)
+                    room = ops + poll
+                    if max(len(queue) - at, len(kids)) >= _LEVEL_MIN:
+                        ops += _expand_wide(dag, mark, queue, at) - len(kids)
+                        room = ops + poll
+                        continue
+                while ops > room:
+                    room = (yield) - resolved
             m |= 32
             mark[v] = m
             for c in kids:      # arrives at c along an arrow into c
@@ -422,13 +409,21 @@ def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
                     mark[c] = mc | 8
                     queue.append(c)
                     if mc > 127:    # bit 128, a stop node (> beats &)
-                        return FastSweep(mark, ops, resolved)
+                        yield FastSweep(mark, ops, resolved)
+                        return
         if expand_in and not m & 64:
             ps = parents[v]
             ops += len(ps)
             if ops > room:
-                unwalked = len(ps)
-                break
+                if poll:
+                    at = queue.index(state, at)
+                    room = ops + poll
+                    if max(len(queue) - at, len(ps)) >= _LEVEL_MIN:
+                        ops += _expand_wide(dag, mark, queue, at) - len(ps)
+                        room = ops + poll
+                        continue
+                while ops > room:
+                    room = (yield) - resolved
             mark[v] = m | 64
             for p in ps:        # arrives at p along an arrow out of p
                 mp = mark[p]
@@ -436,51 +431,35 @@ def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
                     mark[p] = mp | 16
                     queue.append(~p)
                     if mp > 127:
-                        return FastSweep(mark, ops, resolved)
-    else:
-        return FastSweep(mark, ops, resolved)
-    # Paused on `state`, which a resume takes up from its start.
-    at = len(queue) - length_hint(states) - 1
-    return _Paused(mark, queue, at, parked, top, bound, ops - unwalked,
-                   unwalked, resolved)
+                        yield FastSweep(mark, ops, resolved)
+                        return
+    yield FastSweep(mark, ops, resolved)
 
 
 def _kept_sweep(dag: Dag, sources: NodeSet, cond: NodeSet) -> FastSweep:
-    """The whole-graph sweep of checked node sets.  The Dag keeps the last
-    one with its node sets in `dag._last_sweep`, replaced whole, and hands
-    it out again while the sets match; its marks are read, never written.
-
-    On a graph of `_WIDE_NODES` nodes or more the sweep pauses every
-    4 * `_LEVEL_MIN` links, about 50 us of the loop, to look at its queue.
-    Once `_LEVEL_MIN` states wait, or it paused before a list of
-    `_LEVEL_MIN` links or more (a hub's), `_expand_wide` takes the waiting
-    states and the levels after them with numpy, and the loop resumes from
-    the level that narrowed.  A resume starts from a fresh list of the
-    waiting states, so it skips none."""
+    """The whole-graph sweep of checked node sets (see `_sweep`).  The Dag
+    keeps the last one with its node sets in `dag._last_sweep`, replaced
+    whole, and hands it out again while the sets match; its marks are
+    read, never written."""
     last = dag._last_sweep
     if last is not None and last[0] == sources and last[1] == cond:
         return last[2]
-    budget = 2 * len(dag.edges)     # no whole-graph sweep charges more
-    poll = 4 * _LEVEL_MIN if dag.node_count >= _WIDE_NODES else budget
-    swept = _sweep(dag, sources, cond, None, min(poll, budget))
-    while type(swept) is _Paused:
-        mark, queue, at, _, _, _, links, unwalked, _ = swept
-        queue = queue[at:]
-        if len(queue) >= _LEVEL_MIN or unwalked >= _LEVEL_MIN:
-            queue, walked = _expand_wide(adjacency_arrays(dag), mark, queue)
-            links, unwalked = links + walked, 0
-        swept = _sweep(dag, (), (), None, min(links + unwalked + poll, budget),
-                       _Paused(mark, queue, 0, None, 0, 0, links, unwalked, 0))
+    # No whole-graph sweep charges more, so none pauses for its budget.
+    side = _sweep(dag, sources, cond, None, 2 * len(dag.edges))
+    swept = next(side)
+    next(side, None)    # a generator left suspended costs more to drop
     dag._last_sweep = sources, cond, swept
     return swept
 
 
 def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
              mark: bytearray, parked: list[int], top: int, bound: int,
-             need: int, limit: int) -> tuple[int, int]:
-    """Resolve bits 1 and 2 of a confined sweep down to rank `need`; returns
-    the new bound, every rank at or above which is resolved, and the
-    parent links it walked.
+             need: int, charge: int, budget: int
+             ) -> Generator[None, int, tuple[int, int, int]]:
+    """Resolve bits 1 and 2 of a confined sweep down to rank `need`, as a
+    generator that `_sweep` runs through `yield from`; returns the new
+    bound, every rank at or above which is resolved, the sweep's charge
+    and its budget.
 
     It walks the parents of each `parked` node ranked at or above the new
     bound, and of each node that walk marks there, and parks the marked
@@ -490,10 +469,10 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
     is 0: all of An(stop_at | conditioning) is marked, as `mark_ancestors`
     would.
 
-    Once the links walked pass `limit`, it stops after that parent list:
-    the marked nodes whose parents it has not walked go back onto
-    `parked`, and it returns the old bound.  A later call for the same
-    rank then finishes the band, and each parent list is walked once.
+    Each parent list it walks adds to `charge`, the sweep's charge at the
+    call.  Once that passes `budget`, it pauses after the list, yielding
+    None until `send` gives a budget the charge fits, and each parent list
+    is walked once.
     """
     low = min(need, 2 * bound - top)
     if 2 * low < top:   # the rest at once, without rank tests
@@ -502,7 +481,6 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
     else:
         walk = [v for v in parked if rank[v] >= low]
         parked[:] = [v for v in parked if rank[v] < low]
-    walked = 0
     # An(conditioning) first, as in the eager marks; bit 1 implies bit 2.
     for bit, bits in ((1, 1 | 2), (2, 2)):
         band = [v for v in walk if mark[v] & 3 == bits]
@@ -516,13 +494,10 @@ def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
                         band.append(p)
                     elif not mp & 2:    # else it is parked already
                         parked.append(p)
-            walked += len(ps)
-            if walked > limit:
-                parked += band[band.index(v) + 1:]
-                if bit == 1:
-                    parked += [u for u in walk if mark[u] & 3 == 2]
-                return bound, walked
-    return low, walked
+            charge += len(ps)
+            while charge > budget:
+                budget = yield
+    return low, charge, budget
 
 
 # Once this many states wait in a whole-graph sweep's queue, numpy expands
@@ -536,24 +511,24 @@ _LEVEL_MIN = 256
 _WIDE_NODES = 2048
 
 
-def _expand_wide(arrays, mark: bytearray,
-                 level: list[int]) -> tuple[list[int], int]:
-    """Expand `level`, the states waiting in a whole-graph sweep's queue,
-    with numpy, and each breadth-first level after it until one has fewer
-    than `_LEVEL_MIN` states; returns that level as a state list, and the
-    links walked.
+def _expand_wide(dag: Dag, mark: bytearray, queue: list[int], at: int) -> int:
+    """Expand the states waiting in a whole-graph sweep's `queue` from `at`
+    on with numpy, and each breadth-first level after them until one has
+    fewer than `_LEVEL_MIN` states; that level replaces the states after
+    `at`, and the links walked are returned.
 
-    `arrays` is `adjacency_arrays(dag)` and `mark` the sweep's marks,
-    which numpy views in place.  The bit tests are the per-state loop's.
-    A node can hold both states in one level, so the walks of its
-    into-state are marked before its out-state is tested.  numpy is
-    imported here, on a sweep's first wide frontier, not with the package.
+    `mark` holds the sweep's marks, which numpy views in place.  The bit
+    tests are the per-state loop's, so the state at `at` hands over just
+    the lists whose bits are still clear.  A node can hold both states in
+    one level, so the walks of its into-state are marked before its
+    out-state is tested.  numpy is imported here, on a sweep's first wide
+    frontier, not with the package.
     """
     import numpy as np
-    (kid_ptr, kid_idx), (par_ptr, par_idx) = arrays
+    (kid_ptr, kid_idx), (par_ptr, par_idx) = adjacency_arrays(dag)
     mk = np.frombuffer(mark, np.uint8)
     stamp = np.empty(len(mark), np.intp)   # stale contents never read
-    states = np.array(level)
+    states = np.array(queue[at:])
     into, out = states[states >= 0], ~states[states < 0]
     ops = 0
     while True:
@@ -571,7 +546,8 @@ def _expand_wide(arrays, mark: bytearray,
         into = _first_arrivals(mk, stamp, kids, 8)
         out = _first_arrivals(mk, stamp, pars, 16)
         if len(into) + len(out) < _LEVEL_MIN:
-            return (~out).tolist() + into.tolist(), ops
+            queue[at + 1:] = (~out).tolist() + into.tolist()
+            return ops
 
 
 def _rows(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -641,26 +617,29 @@ def is_dseparated(dag: Dag, statement: IndependenceStatement, *,
     from x climbs An(x) and the one from y stops at pa(y).  So the fast
     method sweeps from X, then from Y, each until its charge (links
     examined plus links resolved) would pass a budget of 64 that grows 4x
-    a round, and reads the first side that finishes.  A side that passes
-    its budget pauses, and the next round resumes it, so no work is done
-    twice.  A check's charge is thus at most 5 times its cheaper side's,
-    or that side's plus 64 if that is more, plus one adjacency list.  The
-    faithful method, a referee, sweeps from X alone.
+    a round, and reads the first side that finishes.  Each side is a
+    `_sweep` generator, and the Y side's starts once X pauses: a side that
+    passes its budget pauses, and the next round sends it the larger one,
+    so no work is done twice.  A check's charge is thus at most 5 times
+    its cheaper side's, or that side's plus 64 if that is more, plus one
+    adjacency list.  The faithful method, a referee, sweeps from X alone.
     """
     if method == "fast":
         x = checked_nodes(dag, statement.sources)
         z = checked_nodes(dag, statement.conditioning)
         targets = checked_nodes(dag, statement.targets)
-        budget, from_y = _FIRST_BUDGET, None
-        swept, stop = _sweep(dag, x, z, targets, budget), targets
-        while type(swept) is _Paused:
-            from_x = swept      # then the Y side, under the same budget
-            from_y = _sweep(dag, targets, z, x, budget, from_y)
-            if type(from_y) is not _Paused:
-                swept, stop = from_y, x
-                break
-            budget *= 4         # then the X side, under 4x the budget
-            swept = _sweep(dag, x, z, targets, budget, from_x)
+        budget = _FIRST_BUDGET
+        from_x = _sweep(dag, x, z, targets, budget)
+        side, stop, swept = from_x, targets, next(from_x)
+        if swept is None:   # then the Y side, under the same budget
+            from_y = _sweep(dag, targets, z, x, budget)
+            side, stop, swept = from_y, x, next(from_y)
+        while swept is None:    # then each side again, under 4x the budget
+            budget *= 4
+            side, stop, swept = from_x, targets, from_x.send(budget)
+            if swept is None:
+                side, stop, swept = from_y, x, from_y.send(budget)
+        next(side, None)    # a generator left suspended costs more to drop
         marks = swept.marks
         for v in stop:
             if marks[v] & (8 | 16):

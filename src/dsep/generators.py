@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from .dag import Dag
 from .errors import InvalidArgument
@@ -29,8 +30,10 @@ def star_dag(leaf_count: int, hub_to_leaves: bool = True) -> Dag:
 def random_dag(rng: random.Random, node_count: int,
                edge_prob: float = 0.35) -> Dag:
     """Erdos-Renyi style dag under a hidden random topological order."""
-    if type(node_count) is not int or node_count < 0:
-        raise InvalidArgument("node_count must be a nonnegative int")
+    if not isinstance(rng, random.Random):
+        raise InvalidArgument(f"rng must be a random.Random, got {rng!r}")
+    if type(node_count) is not int or not 0 <= node_count <= sys.maxsize:
+        raise InvalidArgument("node_count must be an int in [0, sys.maxsize]")
     if not isinstance(edge_prob, (int, float)):
         raise InvalidArgument(f"edge_prob must be a number, got {edge_prob!r}")
     order = list(range(node_count))
@@ -49,8 +52,10 @@ def corpus_dag(rng: random.Random, node_count: int) -> Dag:
     Node ids are permuted so nothing downstream can lean on ids being
     topologically sorted.
     """
-    if type(node_count) is not int or node_count < 1:
-        raise InvalidArgument("node_count must be a positive int")
+    if not isinstance(rng, random.Random):
+        raise InvalidArgument(f"rng must be a random.Random, got {rng!r}")
+    if type(node_count) is not int or not 1 <= node_count <= sys.maxsize:
+        raise InvalidArgument("node_count must be an int in [1, sys.maxsize]")
     shape = rng.choice(("random", "random", "chain", "fork", "collider"))
     order = list(range(node_count))
     rng.shuffle(order)

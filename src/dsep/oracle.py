@@ -185,7 +185,10 @@ def random_network(dag: Dag, arity: int, seed: int) -> DiscreteNetwork:
         raise InvalidArgument(f"arity must be an int of at least 2, got {arity!r}")
     arities = (arity,) * dag.node_count
     _check_joint_size(arities)
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # no int, or a negative one
+        raise InvalidArgument(f"bad seed: {exc}") from None
     cpts = []
     for v in range(dag.node_count):
         shape = tuple(arities[p] for p in dag.parents[v]) + (arity,)
@@ -254,10 +257,12 @@ def max_ci_violation(table: JointTable, first: Iterable[int],
                      conditioning: Iterable[int] = ()) -> float:
     """Largest |P(a,b|c) - P(a|c) P(b|c)| over assignments with P(c) > 0."""
     import numpy as np
-    a_vars = sorted(set(first))
-    b_vars = sorted(set(second))
-    c_vars = sorted(set(conditioning))
-    groups = (a_vars, b_vars, c_vars)
+    try:
+        groups = tuple(sorted(set(group))
+                       for group in (first, second, conditioning))
+    except TypeError as exc:    # not an iterable, or unhashable members
+        raise InvalidArgument(f"variable groups must be sets of ids: {exc}"
+                              ) from None
     seen: set[int] = set()
     for group in groups:
         for v in group:

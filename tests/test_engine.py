@@ -9,7 +9,7 @@ import sys
 import threading
 from itertools import compress, permutations
 from pathlib import Path
-from typing import NamedTuple
+from typing import Generator, NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,7 +45,7 @@ from dsep import (
 )
 from dsep.dag import adjacency_arrays, mark_ancestors
 from dsep.engine import (_PARENTS_WALKED, _REACHED, _SEPARATED, FastSweep,
-                         _legality, _Paused, _sweep, flagged_nodes)
+                         _legality, _sweep, flagged_nodes)
 from dsep.requisite import _REACHED_UNCONDITIONED
 
 from .conftest import dags_with_query
@@ -1035,11 +1035,23 @@ def set_statements(draw: st.DrawFn, min_nodes: int, max_nodes: int):
         picked[n_x:n_x + n_y])
 
 
-def _charge(swept: FastSweep | _Paused) -> int:
-    """Links examined plus links resolved, what a budget caps."""
-    if type(swept) is _Paused:
-        return swept.links + swept.unwalked + swept.resolved
-    return swept.links_examined + swept.links_resolved
+def _charge(swept: FastSweep | Generator) -> int:
+    """Links examined plus links resolved, what a budget caps.  A `_sweep`
+    generator, paused or at its `FastSweep`, holds them in its frame, or in
+    `_resolve`'s while it is paused there."""
+    if type(swept) is FastSweep:
+        return swept.links_examined + swept.links_resolved
+    if swept.gi_yieldfrom is not None:
+        return swept.gi_yieldfrom.gi_frame.f_locals["charge"]
+    local = swept.gi_frame.f_locals
+    return local["ops"] + local["resolved"]
+
+
+def _started(dag: Dag, query: SeparationQuery, stop,
+             budget: int) -> tuple[Generator, FastSweep | None]:
+    """A confined `_sweep` under `budget`, and what it yielded first."""
+    side = _sweep(dag, query.sources, query.conditioning, stop, budget)
+    return side, next(side)
 
 
 class _Run(NamedTuple):
@@ -1047,11 +1059,12 @@ class _Run(NamedTuple):
     budget: int
     charge: int         # after the run
     paused: bool
-    resolves: int       # `_resolve` calls in the run
+    resolves: int       # `_resolve` calls begun in the run
 
 
 def _record_runs(monkeypatch) -> list[_Run]:
-    """Record each run of a side that a check makes."""
+    """Record each run of a side that a check makes: its first `next`, or
+    a `send` of the next budget, up to what it yields."""
     runs = []
     sweep, resolve = dsep.engine._sweep, dsep.engine._resolve
     resolves = [0]
@@ -1060,12 +1073,20 @@ def _record_runs(monkeypatch) -> list[_Run]:
         resolves[0] += 1
         return resolve(*args)
 
-    def recorded(dag, sources, conditioning, stop_at, budget, paused=None):
+    def recorded(dag, sources, conditioning, stop_at, budget):
+        side = sweep(dag, sources, conditioning, stop_at, budget)
         resolves[0] = 0
-        swept = sweep(dag, sources, conditioning, stop_at, budget, paused)
-        runs.append(_Run(frozenset(stop_at), budget, _charge(swept),
-                         type(swept) is _Paused, resolves[0]))
-        return swept
+        swept = next(side)
+        while True:
+            runs.append(_Run(frozenset(stop_at), budget, _charge(side),
+                             swept is None, resolves[0]))
+            if swept is not None:
+                break
+            budget = yield
+            resolves[0] = 0
+            swept = side.send(budget)
+        yield swept
+        next(side, None)
 
     monkeypatch.setattr("dsep.engine._sweep", recorded)
     monkeypatch.setattr("dsep.engine._resolve", counted)
@@ -1135,8 +1156,8 @@ class TestTwoSidedChecks:
         # unbudgeted sweep, and the X side's with that of one fresh sweep
         # under its last budget.
         assert runs[-1].charge == _charge(from_y)
-        last_x = _sweep(dag, x, z, y, runs[-2].budget)
-        assert runs[-2].charge == _charge(last_x)
+        last_x, paused = _started(dag, statement, y, runs[-2].budget)
+        assert paused is None and runs[-2].charge == _charge(last_x)
         examined = runs[-2].charge + runs[-1].charge
         assert examined < 0.1 * from_x.links_examined
 
@@ -1240,15 +1261,16 @@ class TestGraphoidAxioms:
 
 class TestSweepBudget:
     """`engine._sweep(..., budget=b)`, the sweep `is_dseparated` runs on
-    each side of a check, returns the sweep `fast_sweep` makes when that
-    charges at most b, links examined plus links resolved, stopping sweeps
-    included, and otherwise pauses with a charge above b."""
+    each side of a check, yields first the sweep `fast_sweep` makes when
+    that charges at most b, links examined plus links resolved, stopping
+    sweeps included, and otherwise None, paused with a charge above b."""
 
     @staticmethod
-    def _assert_contract(full: FastSweep, swept: FastSweep | _Paused,
-                         budget: int) -> None:
-        assert (type(swept) is FastSweep) == (_charge(swept) <= budget)
-        if _charge(swept) <= budget:
+    def _assert_contract(full: FastSweep, side: Generator,
+                         swept: FastSweep | None, budget: int) -> None:
+        assert (swept is not None) == (_charge(side) <= budget)
+        if swept is not None:
+            assert type(swept) is FastSweep
             assert swept.links_examined == full.links_examined
             assert swept.links_resolved == full.links_resolved
             assert swept.marks == full.marks
@@ -1259,25 +1281,20 @@ class TestSweepBudget:
     @given(case=confined_sweeps(), data=st.data())
     def test_confined_sweeps_keep_the_contract(self, case, data):
         dag, query, stop = case
-
-        def budgeted(budget: int) -> FastSweep | _Paused:
-            return _sweep(dag, query.sources, query.conditioning, stop,
-                          budget)
-
         full = fast_sweep(dag, query, stop_at=stop)
         assert type(full) is FastSweep      # its budget, 3E, never pauses
         charge = _charge(full)
         drawn = data.draw(st.integers(0, charge + 3))
         longest = max(map(len, dag.children + dag.parents), default=0)
         for budget in {0, drawn, charge, 3 * len(dag.edges)}:
-            swept = budgeted(budget)
-            self._assert_contract(full, swept, budget)
+            side, swept = _started(dag, query, stop, budget)
+            self._assert_contract(full, side, swept, budget)
             # it stopped at the one list that passed the budget
-            assert _charge(swept) <= budget + longest
-        at = budgeted(charge)
-        assert _charge(at) == charge and at.marks == full.marks
+            assert _charge(side) <= budget + longest
+        side, at = _started(dag, query, stop, charge)
+        assert _charge(side) == charge and at.marks == full.marks
         if charge:
-            short = budgeted(charge - 1)
+            short, _ = _started(dag, query, stop, charge - 1)
             assert _charge(short) > charge - 1
 
     @pytest.mark.parametrize("n", [4, 200])     # eager and lazy marking
@@ -1285,34 +1302,35 @@ class TestSweepBudget:
     def test_a_source_in_stop_at_ends_before_its_first_link(self, n, budget):
         dag, query, stop = chain_dag(n), SeparationQuery({2}), {2, 4}
         swept = (fast_sweep(dag, query, stop_at=stop) if budget is None
-                 else _sweep(dag, query.sources, query.conditioning, stop,
-                             budget))
+                 else _started(dag, query, stop, budget)[1])
         assert swept.links_examined == swept.links_resolved == 0
         assert swept.reached == {2}
 
 
 class TestResumedSweeps:
-    """A sweep paused at every budget up to its charge, and resumed each
-    time, ends as the sweep that never paused (`engine._sweep`)."""
+    """A sweep paused at every budget up to its charge, and sent the next
+    budget each time, ends as the sweep that never paused
+    (`engine._sweep`)."""
 
     @staticmethod
-    def _assert_resumes(dag: Dag, query: SeparationQuery, stop) -> None:
-        full = fast_sweep(dag, query, stop_at=stop)
-        charge = _charge(full)
-        longest = max(map(len, dag.children + dag.parents), default=0)
-        swept = None
-        for budget in range(charge):
-            swept = _sweep(dag, query.sources, query.conditioning, stop,
-                           budget, swept)
-            assert type(swept) is _Paused
-            assert budget < _charge(swept) <= budget + longest
-        swept = _sweep(dag, query.sources, query.conditioning, stop, charge,
-                       swept)
+    def _assert_ends_unpaused(full: FastSweep, swept: FastSweep | None,
+                              stop) -> None:
         assert type(swept) is FastSweep
         assert swept.marks == full.marks
         assert swept.links_examined == full.links_examined
         assert swept.links_resolved == full.links_resolved
         assert _reaches(swept, stop) == _reaches(full, stop)
+
+    def _assert_resumes(self, dag: Dag, query: SeparationQuery, stop) -> None:
+        full = fast_sweep(dag, query, stop_at=stop)
+        charge = _charge(full)
+        longest = max(map(len, dag.children + dag.parents), default=0)
+        side, swept = _started(dag, query, stop, 0)
+        for budget in range(charge):
+            assert swept is None
+            assert budget < _charge(side) <= budget + longest
+            swept = side.send(budget + 1)
+        self._assert_ends_unpaused(full, swept, stop)
 
     @settings(max_examples=100, deadline=None)
     @given(case=confined_sweeps(shapes=("small",)))
@@ -1325,6 +1343,26 @@ class TestResumedSweeps:
     def test_on_lazily_marked_dags(self, case):
         assert case[0]._ranks is not None
         self._assert_resumes(*case)
+
+    def test_a_pause_in_the_middle_of_a_band_resumes_there(self):
+        """`_resolve` pauses after the parent list that passes the budget,
+        with more of its band to walk, and goes on from there."""
+        dag = _windowed_dag(3_000, 12, 8)
+        y = 2_500
+        x = next(v for v in range(y - 3, 0, -1) if v not in dag.parents[y])
+        query, stop = SeparationQuery({x}, dag.parents[y]), {y}
+        full = fast_sweep(dag, query, stop_at=stop)
+        for budget in range(_charge(full)):
+            side, swept = _started(dag, query, stop, budget)
+            inner = side.gi_yieldfrom
+            if inner is not None:
+                band, v = map(inner.gi_frame.f_locals.get, ("band", "v"))
+                if band.index(v) < len(band) - 1:
+                    break
+        else:
+            raise AssertionError("no pause in the middle of a band")
+        assert swept is None and budget < _charge(side)
+        self._assert_ends_unpaused(full, side.send(3 * len(dag.edges)), stop)
 
 
 def test_checks_and_narrow_sweeps_leave_numpy_unloaded():

@@ -124,6 +124,10 @@ def test_public_signatures_are_pinned():
     assert signatures == SIGNATURES
 
 
+def _joint_table() -> dsep.JointTable:
+    return dsep.joint(dsep.random_network(dsep.chain_dag(2), 2, 1))
+
+
 @pytest.mark.parametrize("call", [
     lambda: dsep.build_dag([[1]], []),
     lambda: dsep.build_dag(5, []),
@@ -144,12 +148,32 @@ def test_public_signatures_are_pinned():
     lambda: dsep.check_theorem2(dsep.chain_dag(2), 3, 1, soundness_tol="x"),
     lambda: dsep.run_bench("chain", ["a"]),
     lambda: dsep.run_bench("random", [20], seed=[1]),
+    *(lambda seed=seed: dsep.random_network(dsep.chain_dag(1), 2, seed)
+      for seed in ("x", b"x", {5}, 2.5, -1)),
+    lambda: dsep.random_dag("x", 3),
+    lambda: dsep.corpus_dag(None, 3),
+    lambda: dsep.random_dag(random.Random(1), 10**30),
+    lambda: dsep.corpus_dag(random.Random(1), 10**30),
+    lambda: dsep.audit_random_corpus(10**30, 1, 1),
+    lambda: dsep.run_bench("chain", 5),
+    *(lambda groups=groups: dsep.ci_holds(_joint_table(), *groups)
+      for groups in ((0, {1}), ({0}, None), ({0}, {1}, [[2]]))),
+    *(lambda groups=groups: dsep.max_ci_violation(_joint_table(), *groups)
+      for groups in ((None, {1}), ({0}, [{1}]), ({0}, {1}, 2))),
 ], ids=["build_dag-names", "build_dag-no-names", "Dag-names", "chain_dag",
         "star_dag", "random_sparse_dag", "random_dag", "corpus_dag",
         "random_dag-edge_prob", "random_sparse_dag-seed", "ci_holds-tol",
         "random_network-arity-str", "random_network-arity-float",
         "check_theorem2-trials", "check_theorem2-soundness_tol",
-        "run_bench-edge_counts", "run_bench-seed"])
+        "run_bench-edge_counts", "run_bench-seed",
+        "random_network-seed-str", "random_network-seed-bytes",
+        "random_network-seed-set", "random_network-seed-float",
+        "random_network-seed-negative", "random_dag-rng", "corpus_dag-rng",
+        "random_dag-huge", "corpus_dag-huge", "audit_random_corpus-huge",
+        "run_bench-edge_counts-int", "ci_holds-first-int",
+        "ci_holds-second-None", "ci_holds-conditioning-unhashable",
+        "max_ci_violation-first-None", "max_ci_violation-second-unhashable",
+        "max_ci_violation-conditioning-int"])
 def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
     with pytest.raises(dsep.DsepError) as raised:
         call()
