@@ -49,7 +49,7 @@ from .errors import (
 )
 from .generators import chain_dag, corpus_dag, random_dag, random_sparse_dag, star_dag
 from .graphio import load_graph_file, parse_graph, parse_graph_json, serialize_graph
-from .moral import MoralGraph, moral_check, moralize
+from .moral import moral_check, moralize
 from .oracle import (
     DiscreteNetwork,
     JointTable,
@@ -93,7 +93,6 @@ __all__ = [
     "InvalidQuery",
     "JointTable",
     "MalformedTrail",
-    "MoralGraph",
     "OracleScaleExceeded",
     "ReachabilityResult",
     "SelfLoop",

@@ -176,7 +176,7 @@ class Dag:
 # Graphs of _RANKED_NODES nodes or more get ranks.  A topological rank is a
 # block of max(_RANK_BLOCK, ceil(n / 256)) nodes of a topological order, so
 # there are at most 256 blocks: one byte each.  The finer the blocks, the
-# narrower the band a confined sweep resolves (see `engine._resolve`).
+# narrower the band a confined sweep resolves (see `engine._sweep`).
 _RANKED_NODES = 128
 _RANK_BLOCK = 16
 

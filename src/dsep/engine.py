@@ -42,6 +42,7 @@ engine stays one-sided: it is the paper's procedure, kept as a referee.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Generator, Iterable
@@ -236,8 +237,8 @@ class FastSweep:
     `marks[v]` holds the sweep's bits for v (see `fast_sweep`);
     `reached` and `parents_expanded` are read off them on demand, each in
     O(node_count).  `links_examined` counts the adjacency lists the sweep
-    began, `links_resolved` the parent links lazy marking walked (see
-    `_resolve`); their sum is the charge a budget caps (see `_sweep`).
+    began, `links_resolved` the parent links lazy marking walked; their
+    sum is the charge a budget caps (see `_sweep`).
     """
 
     marks: bytearray
@@ -286,7 +287,7 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     marked lazily.  The sweep marks the conditioning set and `stop_at`,
     and parks them.  Before it walks the children of an out-state v, if
     there are any, it resolves every rank at or above v's (see
-    `_resolve`), and `links_resolved` counts the parent links that walks.
+    `_sweep`), and `links_resolved` counts the parent links that walks.
     A child of a resolved node ranks no lower, so into-states need no
     test.  Bits 1 and 2 are then set only on the resolved ranks.  The
     other bits, `reached` and `links_examined` are those of marking A
@@ -312,22 +313,33 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     if stop_at is None:
         kept = _kept_sweep(dag, sources, cond)
         return FastSweep(kept.marks.copy(), kept.links_examined, 0)
-    # No sweep charges more, so none pauses: 2 links an edge, 1 resolved.
-    return next(_sweep(dag, sources, cond, checked_nodes(dag, stop_at),
-                       3 * len(dag.edges)))
+    return next(_sweep(dag, sources, cond, checked_nodes(dag, stop_at)))
 
 
 def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
-           budget: int) -> Generator[FastSweep | None, int, None]:
+           budget: int = sys.maxsize
+           ) -> Generator[FastSweep | None, int, None]:
     """`fast_sweep` on checked node sets, as a generator that yields its
     `FastSweep` last.  `is_dseparated` runs one on each side of a check
-    under a budget on its charge, the links examined plus the links
-    `_resolve` walks.  Before the sweep walks a list that would take the
+    under a budget on its charge, the links examined plus the parent links
+    lazy marking walks.  Before the sweep walks a list that would take the
     charge past `budget`, that list counted, it yields None and takes the
-    next budget from `send`; `_resolve`, run through `yield from`, pauses
-    after the parent list that does.  The queue, the place there and lazy
-    marking's state stay in the generators' frames, so however often it
-    pauses, the sweep ends with the marks and counts of one unpaused run.
+    next budget from `send`; lazy marking pauses after the parent list
+    that does.  The queue, the place there and lazy marking's state stay
+    in the generator's frame, so however often it pauses, the sweep ends
+    with the marks and counts of one unpaused run.
+
+    Lazy marking (`stop` given, and `Dag._ranks`) keeps a `bound`: every
+    rank at or above it is resolved, bits 1 and 2 set as `mark_ancestors`
+    would.  `top`, the first bound, is one above the highest rank marked
+    at the start.  An out-state v below the bound, whose children the
+    sweep would walk, lowers it to v's rank or further: the resolved span,
+    `top` minus the bound, at least doubles, and once it would pass half
+    of `top` the bound is 0 and the rest is resolved at once, without
+    rank tests.  Resolving walks the parents of each `parked` node ranked
+    at or above the new bound, and of each node that walk marks there,
+    and parks the marked nodes ranked below it.  Each parent list is
+    walked once, and `resolved` counts its links.
 
     With `stop` None it sweeps the whole graph.  On a graph of
     `_WIDE_NODES` nodes or more it then yields nothing but its `FastSweep`
@@ -381,12 +393,33 @@ def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
             m = mark[v]
             expand_in = not m & 4
             if (bound and expand_in and rank[v] < bound
-                    and children[v]):   # kids unresolved
-                bound, charge, budget = yield from _resolve(
-                    parents, rank, mark, parked, top, bound, rank[v],
-                    ops + resolved, room + resolved)
-                resolved = charge - ops
-                room = budget - resolved
+                    and children[v]):   # kids unresolved: lazy marking
+                low = min(rank[v], 2 * bound - top)
+                if 2 * low < top:   # the rest at once, without rank tests
+                    low, walk = 0, parked[:]
+                    parked.clear()
+                else:
+                    walk = [u for u in parked if rank[u] >= low]
+                    parked[:] = [u for u in parked if rank[u] < low]
+                # An(conditioning) first, as in the eager marks; bit 1
+                # implies bit 2.
+                for bit, bits in ((1, 1 | 2), (2, 2)):
+                    band = [u for u in walk if mark[u] & 3 == bits]
+                    for u in band:      # the list grows while it is walked
+                        ps = parents[u]
+                        for p in ps:
+                            mp = mark[p]
+                            if not mp & bit:
+                                mark[p] = mp | bits
+                                if not low or rank[p] >= low:
+                                    band.append(p)
+                                elif not mp & 2:    # else it is parked already
+                                    parked.append(p)
+                        resolved += len(ps)
+                        room -= len(ps)
+                        while ops > room:
+                            room = (yield) - resolved
+                bound = low
                 m = mark[v]
         if not m & (4 | 32):
             kids = children[v]
@@ -444,60 +477,11 @@ def _kept_sweep(dag: Dag, sources: NodeSet, cond: NodeSet) -> FastSweep:
     last = dag._last_sweep
     if last is not None and last[0] == sources and last[1] == cond:
         return last[2]
-    # No whole-graph sweep charges more, so none pauses for its budget.
-    side = _sweep(dag, sources, cond, None, 2 * len(dag.edges))
+    side = _sweep(dag, sources, cond, None)
     swept = next(side)
     next(side, None)    # a generator left suspended costs more to drop
     dag._last_sweep = sources, cond, swept
     return swept
-
-
-def _resolve(parents: tuple[tuple[int, ...], ...], rank: bytes,
-             mark: bytearray, parked: list[int], top: int, bound: int,
-             need: int, charge: int, budget: int
-             ) -> Generator[None, int, tuple[int, int, int]]:
-    """Resolve bits 1 and 2 of a confined sweep down to rank `need`, as a
-    generator that `_sweep` runs through `yield from`; returns the new
-    bound, every rank at or above which is resolved, the sweep's charge
-    and its budget.
-
-    It walks the parents of each `parked` node ranked at or above the new
-    bound, and of each node that walk marks there, and parks the marked
-    nodes ranked below it.  `top` is the first bound, one above the
-    highest rank marked at the start.  The resolved span, `top` minus the
-    bound, at least doubles, and once it passes half of `top` the bound
-    is 0: all of An(stop_at | conditioning) is marked, as `mark_ancestors`
-    would.
-
-    Each parent list it walks adds to `charge`, the sweep's charge at the
-    call.  Once that passes `budget`, it pauses after the list, yielding
-    None until `send` gives a budget the charge fits, and each parent list
-    is walked once.
-    """
-    low = min(need, 2 * bound - top)
-    if 2 * low < top:   # the rest at once, without rank tests
-        low, walk = 0, parked[:]
-        parked.clear()
-    else:
-        walk = [v for v in parked if rank[v] >= low]
-        parked[:] = [v for v in parked if rank[v] < low]
-    # An(conditioning) first, as in the eager marks; bit 1 implies bit 2.
-    for bit, bits in ((1, 1 | 2), (2, 2)):
-        band = [v for v in walk if mark[v] & 3 == bits]
-        for v in band:      # the list grows while it is walked
-            ps = parents[v]
-            for p in ps:
-                mp = mark[p]
-                if not mp & bit:
-                    mark[p] = mp | bits
-                    if not low or rank[p] >= low:
-                        band.append(p)
-                    elif not mp & 2:    # else it is parked already
-                        parked.append(p)
-            charge += len(ps)
-            while charge > budget:
-                budget = yield
-    return low, charge, budget
 
 
 # Once this many states wait in a whole-graph sweep's queue, numpy expands

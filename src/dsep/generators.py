@@ -34,8 +34,9 @@ def random_dag(rng: random.Random, node_count: int,
         raise InvalidArgument(f"rng must be a random.Random, got {rng!r}")
     if type(node_count) is not int or not 0 <= node_count <= sys.maxsize:
         raise InvalidArgument("node_count must be an int in [0, sys.maxsize]")
-    if not isinstance(edge_prob, (int, float)):
-        raise InvalidArgument(f"edge_prob must be a number, got {edge_prob!r}")
+    if not isinstance(edge_prob, (int, float)) or not 0 <= edge_prob <= 1:
+        raise InvalidArgument(
+            f"edge_prob must be a number in [0, 1], got {edge_prob!r}")
     order = list(range(node_count))
     rng.shuffle(order)
     edges = []

@@ -17,30 +17,13 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .dag import Dag, checked_nodes, mark_ancestors
 from .engine import IndependenceStatement
 from .errors import InvalidArgument
 
 MARRIAGE_RULES = ("restricted", "full")
-
-
-class MoralGraph:
-    """Undirected view of an ancestral subgraph with married co-parents."""
-
-    __slots__ = ("nodes", "_adjacency")
-
-    def __init__(self, nodes: frozenset[int],
-                 adjacency: dict[int, Collection[int]]) -> None:
-        self.nodes = frozenset(nodes)
-        self._adjacency = adjacency
-
-    def neighbors(self, v: int) -> Collection[int]:
-        return self._adjacency.get(v, ())
-
-    def __repr__(self) -> str:
-        return f"MoralGraph(nodes={len(self.nodes)})"
 
 
 def _join(adjacency: dict[int, dict[int, None]],
@@ -52,7 +35,8 @@ def _join(adjacency: dict[int, dict[int, None]],
 
 
 def _restricted_graph(dag: Dag, statement: IndependenceStatement
-                      ) -> tuple[MoralGraph, list[tuple[int, int]]]:
+                      ) -> tuple[dict[int, dict[int, None]],
+                                 list[tuple[int, int]]]:
     """The restricted rule's moral graph, and the co-parent pairs that the
     full rule marries besides: one construction serves both rules."""
     cond = checked_nodes(dag, statement.conditioning)
@@ -73,12 +57,16 @@ def _restricted_graph(dag: Dag, statement: IndependenceStatement
         (links if v in conditioned else others).extend(combinations(ps, 2))
     adjacency: dict[int, dict[int, None]] = {v: {} for v in anc}
     _join(adjacency, links)
-    return MoralGraph(anc, adjacency), others
+    return adjacency, others
 
 
 def moralize(dag: Dag, statement: IndependenceStatement,
-             marriage: str = "restricted") -> MoralGraph:
+             marriage: str = "restricted") -> dict[int, dict[int, None]]:
     """Ancestral subgraph of the statement's nodes, undirected, co-parents married.
+
+    The graph is an adjacency dict over the ancestral set: each node maps
+    to a dict whose keys are its neighbours, each listed once, in the
+    order first linked.
 
     The restricted rule (default) marries two parents only when their
     common child is in the conditioning set or has a descendant there;
@@ -90,11 +78,11 @@ def moralize(dag: Dag, statement: IndependenceStatement,
             f"marriage rule must be one of {MARRIAGE_RULES}")
     graph, others = _restricted_graph(dag, statement)
     if marriage == "full":
-        _join(graph._adjacency, others)
+        _join(graph, others)
     return graph
 
 
-def _bfs_separated(graph: MoralGraph,
+def _bfs_separated(graph: dict[int, dict[int, None]],
                    statement: IndependenceStatement) -> tuple[bool, int]:
     """(verdict, links scanned): BFS from the sources avoiding conditioning."""
     cond = statement.conditioning
@@ -104,7 +92,7 @@ def _bfs_separated(graph: MoralGraph,
     scanned = 0
     while queue:
         u = queue.popleft()
-        for nb in graph.neighbors(u):
+        for nb in graph[u]:
             scanned += 1
             if nb in visited:
                 continue
@@ -131,6 +119,6 @@ def _moral_verdicts(dag: Dag,
     BFS on the restricted graph, then one after the other marriages."""
     graph, others = _restricted_graph(dag, statement)
     restricted, _ = _bfs_separated(graph, statement)
-    _join(graph._adjacency, others)
+    _join(graph, others)
     full, _ = _bfs_separated(graph, statement)
     return restricted, full

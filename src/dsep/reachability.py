@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .dag import checked_nodes
-from .errors import EmptyStartSet
+from .errors import EmptyStartSet, InvalidArgument
 
 # Decides whether the second link may directly follow the first on a path.
 LegalPairRelation = Callable[[int, int], bool]
@@ -44,6 +44,8 @@ def find_reachable(graph, legal: LegalPairRelation,
     `stop_at` is given the sweep returns as soon as one of those nodes
     is reached (the partial result still satisfies the level contract).
     """
+    if not callable(legal):
+        raise InvalidArgument(f"legal must be callable, got {legal!r}")
     starts = checked_nodes(graph, sources)
     if not starts:
         raise EmptyStartSet("reachability needs at least one start node")

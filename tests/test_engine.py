@@ -944,7 +944,7 @@ class TestLastSweep:
 
 class TestLazyAncestralMarks:
     """A confined sweep marks An(stop_at | conditioning) only on the
-    topological ranks it needs (`engine._resolve`)."""
+    topological ranks it needs (lazy marking, in `engine._sweep`)."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=confined_sweeps())
@@ -1037,12 +1037,9 @@ def set_statements(draw: st.DrawFn, min_nodes: int, max_nodes: int):
 
 def _charge(swept: FastSweep | Generator) -> int:
     """Links examined plus links resolved, what a budget caps.  A `_sweep`
-    generator, paused or at its `FastSweep`, holds them in its frame, or in
-    `_resolve`'s while it is paused there."""
+    generator, paused or at its `FastSweep`, holds them in its frame."""
     if type(swept) is FastSweep:
         return swept.links_examined + swept.links_resolved
-    if swept.gi_yieldfrom is not None:
-        return swept.gi_yieldfrom.gi_frame.f_locals["charge"]
     local = swept.gi_frame.f_locals
     return local["ops"] + local["resolved"]
 
@@ -1059,37 +1056,34 @@ class _Run(NamedTuple):
     budget: int
     charge: int         # after the run
     paused: bool
-    resolves: int       # `_resolve` calls begun in the run
+    resolves: int       # 1 if lazy marking lowered the bound in the run
 
 
 def _record_runs(monkeypatch) -> list[_Run]:
     """Record each run of a side that a check makes: its first `next`, or
-    a `send` of the next budget, up to what it yields."""
+    a `send` of the next budget, up to what it yields.  Every resolution
+    lowers the sweep's `bound`, so a run resolved when its frame's bound
+    fell below the bound before it (`top` before the first run)."""
     runs = []
-    sweep, resolve = dsep.engine._sweep, dsep.engine._resolve
-    resolves = [0]
-
-    def counted(*args):
-        resolves[0] += 1
-        return resolve(*args)
+    sweep = dsep.engine._sweep
 
     def recorded(dag, sources, conditioning, stop_at, budget):
         side = sweep(dag, sources, conditioning, stop_at, budget)
-        resolves[0] = 0
         swept = next(side)
+        before = side.gi_frame.f_locals["top"]
         while True:
+            bound = side.gi_frame.f_locals["bound"]
             runs.append(_Run(frozenset(stop_at), budget, _charge(side),
-                             swept is None, resolves[0]))
+                             swept is None, int(bound < before)))
             if swept is not None:
                 break
+            before = bound
             budget = yield
-            resolves[0] = 0
             swept = side.send(budget)
         yield swept
         next(side, None)
 
     monkeypatch.setattr("dsep.engine._sweep", recorded)
-    monkeypatch.setattr("dsep.engine._resolve", counted)
     return runs
 
 
@@ -1259,6 +1253,39 @@ class TestGraphoidAxioms:
         self._assert_axioms(*case)
 
 
+class TestFactsPastTheTrailOracleCap:
+    """Two facts of d-separation, checked without an oracle on seeded
+    `random_dag`s of 13-400 nodes, past the trail oracle's 12-node cap: the
+    local Markov property v _||_ nd(v) - pa(v) | pa(v), and that adjacent
+    nodes are never separated, under any Z.  Both engines and the moral
+    baseline must give the fact's verdict."""
+
+    @staticmethod
+    def _verdicts(dag: Dag, statement: IndependenceStatement) -> set[bool]:
+        return {is_dseparated(dag, statement),
+                is_dseparated(dag, statement, method="faithful"),
+                moral_check(dag, statement),
+                moral_check(dag, statement, marriage="full")}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_local_markov_and_adjacency(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(13, 400)
+        dag = random_dag(rng, n, edge_prob=rng.uniform(1, 4) / n)
+        reverse = Dag(n, [(h, t) for t, h in dag.edges])   # An() is De()
+        for v in rng.sample(range(n), 12):
+            pa = frozenset(dag.parents[v])
+            others = set(range(n)) - ancestral_set(reverse, {v}) - pa
+            if others:
+                statement = IndependenceStatement({v}, pa, others)
+                assert self._verdicts(dag, statement) == {True}, v
+        for t, h in rng.sample(dag.edges, min(12, len(dag.edges))):
+            rest = sorted(set(range(n)) - {t, h})
+            for z in ((), rng.sample(rest, rng.randint(1, 8)), rest):
+                statement = IndependenceStatement({t}, z, {h})
+                assert self._verdicts(dag, statement) == {False}, (t, h, z)
+
+
 class TestSweepBudget:
     """`engine._sweep(..., budget=b)`, the sweep `is_dseparated` runs on
     each side of a check, yields first the sweep `fast_sweep` makes when
@@ -1282,7 +1309,7 @@ class TestSweepBudget:
     def test_confined_sweeps_keep_the_contract(self, case, data):
         dag, query, stop = case
         full = fast_sweep(dag, query, stop_at=stop)
-        assert type(full) is FastSweep      # its budget, 3E, never pauses
+        assert type(full) is FastSweep      # it has no budget, so never pauses
         charge = _charge(full)
         drawn = data.draw(st.integers(0, charge + 3))
         longest = max(map(len, dag.children + dag.parents), default=0)
@@ -1345,8 +1372,9 @@ class TestResumedSweeps:
         self._assert_resumes(*case)
 
     def test_a_pause_in_the_middle_of_a_band_resumes_there(self):
-        """`_resolve` pauses after the parent list that passes the budget,
-        with more of its band to walk, and goes on from there."""
+        """Lazy marking pauses after the parent list that passes the
+        budget, with more of its band to walk, and goes on from there.  A
+        finished band loop leaves `u` at its band's last member."""
         dag = _windowed_dag(3_000, 12, 8)
         y = 2_500
         x = next(v for v in range(y - 3, 0, -1) if v not in dag.parents[y])
@@ -1354,11 +1382,9 @@ class TestResumedSweeps:
         full = fast_sweep(dag, query, stop_at=stop)
         for budget in range(_charge(full)):
             side, swept = _started(dag, query, stop, budget)
-            inner = side.gi_yieldfrom
-            if inner is not None:
-                band, v = map(inner.gi_frame.f_locals.get, ("band", "v"))
-                if band.index(v) < len(band) - 1:
-                    break
+            band, u = map(side.gi_frame.f_locals.get, ("band", "u"))
+            if u in (band or ()) and band.index(u) < len(band) - 1:
+                break
         else:
             raise AssertionError("no pause in the middle of a band")
         assert swept is None and budget < _charge(side)

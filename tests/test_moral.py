@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dsep import (
     Dag,
     IndependenceStatement,
-    MoralGraph,
     is_dseparated,
     moral_check,
     moralize,
@@ -20,9 +19,8 @@ from .conftest import dags_with_query
 
 
 def _edges(graph):
-    """Normalized (low, high) pairs read off `neighbors`."""
-    return {(min(v, w), max(v, w))
-            for v in graph.nodes for w in graph.neighbors(v)}
+    """Normalized (low, high) pairs read off the adjacency dict."""
+    return {(min(v, w), max(v, w)) for v in graph for w in graph[v]}
 
 
 def _edge_names(dag, graph):
@@ -56,7 +54,7 @@ class TestMoralize:
         statement = IndependenceStatement(
             ids(web7, "n4"), ids(web7, "n2"), ids(web7, "n3"))
         graph = moralize(web7, statement)
-        kept = {web7.node_name(v) for v in graph.nodes}
+        kept = {web7.node_name(v) for v in graph}
         assert kept == {"n1", "n2", "n3", "n4"}
 
     def test_unknown_marriage_rule_rejected(self, web7, ids):
@@ -73,14 +71,14 @@ class TestMoralize:
         assert restricted <= full
 
 
-class TestMoralGraphStructure:
+class TestMoralAdjacency:
     def test_neighbors_are_symmetric(self, diamond4, ids):
         statement = IndependenceStatement(
             ids(diamond4, "3"), ids(diamond4, "4"), ids(diamond4, "2"))
         graph = moralize(diamond4, statement)
-        for v in graph.nodes:
-            for w in graph.neighbors(v):
-                assert v in graph.neighbors(w)
+        for v in graph:
+            for w in graph[v]:
+                assert v in graph[w]
 
     def test_each_neighbor_listed_once(self):
         # 0 and 1 share two children and are already adjacent
@@ -88,14 +86,10 @@ class TestMoralGraphStructure:
         statement = IndependenceStatement({3}, set(), {2})
         for marriage in MARRIAGE_RULES:
             graph = moralize(dag, statement, marriage)
-            for v in graph.nodes:
-                listed = list(graph.neighbors(v))
+            for v in graph:
+                listed = list(graph[v])
                 assert len(listed) == len(set(listed))
-            assert sorted(graph.neighbors(0)) == [1, 2, 3]
-
-    def test_neighbors_of_an_absent_node_are_empty(self):
-        graph = MoralGraph(frozenset({0, 1}), {0: [1], 1: [0]})
-        assert graph.neighbors(7) == ()
+            assert sorted(graph[0]) == [1, 2, 3]
 
 
 class TestMoralCheck:

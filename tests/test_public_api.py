@@ -19,7 +19,7 @@ PUBLIC = (
     "DuplicateEdge", "EmptyStartSet", "EndpointInConditioningSet",
     "ForeignNode", "GraphSyntaxError", "IndependenceStatement", "InvalidArgument",
     "InvalidQuery",
-    "JointTable", "MalformedTrail", "MoralGraph", "OracleScaleExceeded",
+    "JointTable", "MalformedTrail", "OracleScaleExceeded",
     "ReachabilityResult", "SelfLoop", "SeparationQuery", "Theorem2Report",
     "Trail", "UnknownEndpoint", "__version__", "ancestral_set", "audit_dag",
     "audit_random_corpus", "augment_dummies", "build_dag", "chain_dag",
@@ -65,7 +65,6 @@ SIGNATURES = {
     "InvalidQuery": _ERROR,
     "JointTable": ("probs", "arities"),
     "MalformedTrail": _ERROR,
-    "MoralGraph": ("nodes", "adjacency"),
     "OracleScaleExceeded": _ERROR,
     "ReachabilityResult": ("reached", "link_levels"),
     "SelfLoop": _ERROR,
@@ -160,6 +159,10 @@ def _joint_table() -> dsep.JointTable:
       for groups in ((0, {1}), ({0}, None), ({0}, {1}, [[2]]))),
     *(lambda groups=groups: dsep.max_ci_violation(_joint_table(), *groups)
       for groups in ((None, {1}), ({0}, [{1}]), ({0}, {1}, 2))),
+    *(lambda p=p: dsep.random_dag(random.Random(1), 3, edge_prob=p)
+      for p in (5, -0.5, float("nan"))),
+    lambda: dsep.find_reachable(dsep.doubled_graph(dsep.chain_dag(2)), "x",
+                                {0}),
 ], ids=["build_dag-names", "build_dag-no-names", "Dag-names", "chain_dag",
         "star_dag", "random_sparse_dag", "random_dag", "corpus_dag",
         "random_dag-edge_prob", "random_sparse_dag-seed", "ci_holds-tol",
@@ -173,7 +176,9 @@ def _joint_table() -> dsep.JointTable:
         "run_bench-edge_counts-int", "ci_holds-first-int",
         "ci_holds-second-None", "ci_holds-conditioning-unhashable",
         "max_ci_violation-first-None", "max_ci_violation-second-unhashable",
-        "max_ci_violation-conditioning-int"])
+        "max_ci_violation-conditioning-int", "random_dag-edge_prob-above-1",
+        "random_dag-edge_prob-negative", "random_dag-edge_prob-nan",
+        "find_reachable-legal"])
 def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
     with pytest.raises(dsep.DsepError) as raised:
         call()
