@@ -5,7 +5,8 @@ algorithm row carries a deterministic operation count next to the wall
 time, so linear scaling can be checked machine-independently.  A fast
 or faithful row times the sweep alone: the adjacency arrays and the
 doubled graph, which a Dag builds once and keeps, are built before the
-clock starts.
+clock starts, and the fast row runs the engine's sweep afresh on every
+repeat, never the whole-graph sweep a Dag keeps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .engine import (
     IndependenceStatement,
     SeparationQuery,
     _faithful_sweep,
-    fast_sweep,
+    _sweep,
 )
 from .errors import InvalidArgument
 from .generators import chain_dag, random_sparse_dag, star_dag
@@ -104,12 +105,8 @@ def _best_of(repeats: int, fn):
 
 def _run_fast(dag: Dag, query: SeparationQuery, repeats: int):
     adjacency_arrays(dag)   # built once per Dag: keep it out of every repeat
-
-    def sweep():    # afresh, where the Dag would hand back the sweep it kept
-        dag._last_sweep = None
-        return fast_sweep(dag, query)
-
-    seconds, swept = _best_of(repeats, sweep)
+    seconds, swept = _best_of(repeats, lambda: next(
+        _sweep(dag, query.sources, query.conditioning, None)))
     size = dag.node_count - len(swept.reached | query.conditioning)
     return seconds, size, swept.links_examined
 

@@ -13,9 +13,10 @@ Two interchangeable engines compute the full separated set:
   at most once, which bounds the link work by a small constant times
   the edge count.  One per-state loop walks one FIFO queue, and on a
   graph of 2048 nodes or more hands a whole-graph sweep's wide queues to
-  numpy, level by level (as in Beamer et al., SC 2012).  A Dag keeps its
-  last whole-graph sweep, so the requisite tables, the relevant
-  observations and the separated set of one query take one sweep.
+  numpy, level by level (as in Beamer et al., SC 2012).  `fast_sweep`
+  keeps a Dag's last whole-graph sweep, and the separated set, the
+  requisite tables and the relevant observations are all read through
+  it, so the answers of one query take one sweep.
 
 Both must agree everywhere; the test suite enforces that against an
 exhaustive trail oracle.
@@ -227,6 +228,8 @@ def dsep_set(dag: Dag, query: SeparationQuery) -> NodeSet:
 
 _SEPARATED = bytes(not b & (4 | 8 | 16) for b in range(256))
 _REACHED = bytes(bool(b & (8 | 16)) for b in range(256))
+_REACHED_UNCONDITIONED = bytes(b & (8 | 16) != 0 and not b & 4
+                               for b in range(256))
 _PARENTS_WALKED = bytes(b >> 6 & 1 for b in range(256))
 
 
@@ -293,12 +296,14 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     other bits, `reached` and `links_examined` are those of marking A
     first.
 
-    Without `stop_at`, the sweep is the whole-graph one the Dag keeps
-    with its node sets (see `_kept_sweep`), and the same sets again get a
-    copy of its marks: `requisite_parameters` and then
-    `relevant_variables` on the same query sweep the graph once.  On a
-    graph of `_WIDE_NODES` nodes or more its wide queues go to numpy,
-    which marks and counts as the loop does, and `links_resolved` is 0.
+    Without `stop_at`, the sweep is the whole-graph one, and the Dag
+    keeps the last with its node sets in `dag._last_sweep`, replaced
+    whole; nothing else reads or writes it.  The same sets again get a
+    copy of its marks, so `dsep_set_fast`, `requisite_parameters` and
+    `relevant_variables`, which read through here, sweep once for one
+    query.  On a graph of `_WIDE_NODES` nodes or more its wide queues go
+    to numpy, which marks and counts as the loop does, and
+    `links_resolved` is 0.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
     `marks[v]`: 1 in An(conditioning), an open collider when entered
@@ -310,10 +315,15 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     """
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
-    if stop_at is None:
-        kept = _kept_sweep(dag, sources, cond)
-        return FastSweep(kept.marks.copy(), kept.links_examined, 0)
-    return next(_sweep(dag, sources, cond, checked_nodes(dag, stop_at)))
+    if stop_at is not None:
+        return next(_sweep(dag, sources, cond, checked_nodes(dag, stop_at)))
+    last = dag._last_sweep
+    if last is None or last[0] != sources or last[1] != cond:
+        side = _sweep(dag, sources, cond, None)
+        last = dag._last_sweep = sources, cond, next(side)
+        next(side, None)    # a generator left suspended costs more to drop
+    kept = last[2]
+    return FastSweep(kept.marks.copy(), kept.links_examined, 0)
 
 
 def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
@@ -469,21 +479,6 @@ def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
     yield FastSweep(mark, ops, resolved)
 
 
-def _kept_sweep(dag: Dag, sources: NodeSet, cond: NodeSet) -> FastSweep:
-    """The whole-graph sweep of checked node sets (see `_sweep`).  The Dag
-    keeps the last one with its node sets in `dag._last_sweep`, replaced
-    whole, and hands it out again while the sets match; its marks are
-    read, never written."""
-    last = dag._last_sweep
-    if last is not None and last[0] == sources and last[1] == cond:
-        return last[2]
-    side = _sweep(dag, sources, cond, None)
-    swept = next(side)
-    next(side, None)    # a generator left suspended costs more to drop
-    dag._last_sweep = sources, cond, swept
-    return swept
-
-
 # Once this many states wait in a whole-graph sweep's queue, numpy expands
 # them.  On perfbench large-graph (5e4 nodes, 1e5 edges), 256 rather than
 # 4096 cut its whole-graph queries from 12.6 to 5.6 ms (medians); its
@@ -579,11 +574,10 @@ def flagged_nodes(dag: Dag, flags: bytes | bytearray) -> frozenset[int]:
 
 def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Same value as `dsep_set` in O(node_count + edge_count): the nodes the
-    whole-graph sweep the Dag keeps (`_kept_sweep`) neither queued nor
-    found conditioned (no mark bit 4, 8 or 16)."""
-    swept = _kept_sweep(dag, checked_nodes(dag, query.sources),
-                        checked_nodes(dag, query.conditioning))
-    return flagged_nodes(dag, swept.marks.translate(_SEPARATED))
+    whole-graph `fast_sweep`, which the Dag keeps, neither queued nor found
+    conditioned (no mark bit 4, 8 or 16)."""
+    marks = fast_sweep(dag, query).marks
+    return flagged_nodes(dag, marks.translate(_SEPARATED))
 
 
 _FIRST_BUDGET = 64     # the charge a side may make in a check's first round

@@ -43,6 +43,8 @@ def find_reachable(graph, legal: LegalPairRelation,
     FIFO processing makes the link labels breadth-first levels.  When
     `stop_at` is given the sweep returns as soon as one of those nodes
     is reached (the partial result still satisfies the level contract).
+    A `legal` that cannot be called with two link ids raises
+    `InvalidArgument`; an error raised inside it propagates.
     """
     if not callable(legal):
         raise InvalidArgument(f"legal must be callable, got {legal!r}")
@@ -73,17 +75,23 @@ def find_reachable(graph, legal: LegalPairRelation,
                 if w in stop:
                     return result()
 
-    while queue:
-        lid = queue.popleft()
-        next_level = levels[lid] + 1
-        v = heads[lid]
-        for cand in out_links[v]:
-            if levels[cand] is None and legal(lid, cand):
-                levels[cand] = next_level
-                w = heads[cand]
-                reached.add(w)
-                queue.append(cand)
-                if w in stop:
-                    return result()
+    try:
+        while queue:
+            lid = queue.popleft()
+            next_level = levels[lid] + 1
+            v = heads[lid]
+            for cand in out_links[v]:
+                if levels[cand] is None and legal(lid, cand):
+                    levels[cand] = next_level
+                    w = heads[cand]
+                    reached.add(w)
+                    queue.append(cand)
+                    if w in stop:
+                        return result()
+    except TypeError as exc:
+        if exc.__traceback__.tb_next is not None:   # raised in legal's body
+            raise
+        raise InvalidArgument(
+            f"legal must take two link ids: {exc}") from None
 
     return result()

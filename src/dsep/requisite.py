@@ -8,9 +8,9 @@ walks v's parent list: v is a source, or the trail arrives into v while
 v is or has a descendant in the conditioning set, or it arrives from a
 child of v while v is unconditioned.  Reaching v' opens no new state of
 the base dag.  This is the "top mark" of Shachter's Bayes-Ball (UAI
-1998), so each answer takes one linear sweep of the base dag.  The
-tables are read off the whole-graph sweep, which the Dag keeps, so the
-relevant observations of the same query cost a copy of its marks.
+1998), so each answer takes one linear sweep of the base dag.  Both
+answers are read off the whole-graph `fast_sweep`, which the Dag keeps,
+so the second of one query costs a copy of its marks.
 `augment_dummies` still builds the augmented dag, as the tests' referee.
 """
 
@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dag import Dag, NodeSet, checked_nodes
-from .engine import SeparationQuery, _kept_sweep, fast_sweep, flagged_nodes
-
-_REACHED_UNCONDITIONED = bytes(b & (8 | 16) != 0 and not b & 4
-                               for b in range(256))
+from .dag import Dag, NodeSet
+from .engine import (_REACHED_UNCONDITIONED, SeparationQuery, fast_sweep,
+                     flagged_nodes)
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,12 @@ def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
 
     The nodes whose parent list one sweep of `dag` walks: the same set as
     the dummies of `augment_dummies(dag)` left d-connected to the sources.
-    The sweep is the whole-graph one, which the Dag keeps for
+    The sweep is the whole-graph `fast_sweep`, which the Dag keeps for
     `relevant_variables` and `dsep_set_fast`.  Each walked list belongs
     to a node of An(sources | conditioning), so a sweep confined to that
     set (an empty stop set) walks the same lists.
     """
-    swept = _kept_sweep(dag, checked_nodes(dag, query.sources),
-                        checked_nodes(dag, query.conditioning))
-    return flagged_nodes(dag, swept.parents_expanded)
+    return flagged_nodes(dag, fast_sweep(dag, query).parents_expanded)
 
 
 def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:

@@ -44,9 +44,9 @@ from dsep import (
     star_dag,
 )
 from dsep.dag import adjacency_arrays, mark_ancestors
-from dsep.engine import (_PARENTS_WALKED, _REACHED, _SEPARATED, FastSweep,
-                         _legality, _sweep, flagged_nodes)
-from dsep.requisite import _REACHED_UNCONDITIONED
+from dsep.engine import (_PARENTS_WALKED, _REACHED, _REACHED_UNCONDITIONED,
+                         _SEPARATED, FastSweep, _legality, _sweep,
+                         flagged_nodes)
 
 from .conftest import dags_with_query
 
@@ -862,24 +862,33 @@ class TestLastSweep:
         assert swept.marks is not kept[0][2].marks
         assert one._last_sweep is kept[0] and two._last_sweep is kept[1]
 
+    @staticmethod
+    def _read(read_off, dag: Dag, query: SeparationQuery):
+        got = read_off(dag, query)
+        return ((bytes(got.marks), got.links_examined, got.links_resolved)
+                if read_off is fast_sweep else got)
+
+    @pytest.mark.parametrize("first", (fast_sweep, *READ_OFFS),
+                             ids=lambda f: f.__name__)
     @pytest.mark.parametrize("make,arrays,wide", [
         (lambda: TestLastSweep._make(300), False, False),
         (lambda: _windowed_dag(3_000, 12, 5), False, False),    # narrow
         (lambda: TestLastSweep._make(3_000), False, True),      # goes wide
         (lambda: TestLastSweep._make(3_000), True, True),
-    ])
+    ], ids=["small", "narrow", "wide", "wide-with-arrays"])
     def test_a_requisite_query_sweeps_once(self, monkeypatch, make, arrays,
-                                           wide):
-        """`requisite_parameters` keeps the whole-graph sweep, building the
-        Dag's arrays where it goes wide, and `relevant_variables` on the
-        same query reads it without sweeping again."""
+                                           wide, first):
+        """Whichever whole-graph read comes first keeps the sweep, building
+        the Dag's arrays where it goes wide, and the other reads of the
+        same query answer from it without sweeping again."""
         dag = make()
         query, other = self._queries(dag)
-        relevant = relevant_variables(make(), query)
+        reads = (fast_sweep, *self.READ_OFFS)
+        fresh = {f: self._read(f, make(), query) for f in reads}
         if arrays:
             dsep_set_fast(dag, other)
             assert dag._arrays is not None
-        requisite_parameters(dag, query)
+        assert self._read(first, dag, query) == fresh[first]
         assert (dag._arrays is not None) == wide
         assert dag._last_sweep[:2] == (query.sources, query.conditioning)
 
@@ -887,7 +896,9 @@ class TestLastSweep:
             raise AssertionError("the kept sweep was swept again")
 
         monkeypatch.setattr("dsep.engine._sweep", sweep)
-        assert relevant_variables(dag, query) == relevant
+        for read_off in reads:
+            if read_off is not first:
+                assert self._read(read_off, dag, query) == fresh[read_off]
 
     @pytest.mark.parametrize("n", [300, 3_000])
     def test_mutating_a_result_changes_no_later_answer(self, n):

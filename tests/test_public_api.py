@@ -163,6 +163,8 @@ def _joint_table() -> dsep.JointTable:
       for p in (5, -0.5, float("nan"))),
     lambda: dsep.find_reachable(dsep.doubled_graph(dsep.chain_dag(2)), "x",
                                 {0}),
+    lambda: dsep.find_reachable(dsep.doubled_graph(dsep.chain_dag(3)),
+                                lambda a: True, {0}),
 ], ids=["build_dag-names", "build_dag-no-names", "Dag-names", "chain_dag",
         "star_dag", "random_sparse_dag", "random_dag", "corpus_dag",
         "random_dag-edge_prob", "random_sparse_dag-seed", "ci_holds-tol",
@@ -178,7 +180,7 @@ def _joint_table() -> dsep.JointTable:
         "max_ci_violation-first-None", "max_ci_violation-second-unhashable",
         "max_ci_violation-conditioning-int", "random_dag-edge_prob-above-1",
         "random_dag-edge_prob-negative", "random_dag-edge_prob-nan",
-        "find_reachable-legal"])
+        "find_reachable-legal", "find_reachable-legal-arity"])
 def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
     with pytest.raises(dsep.DsepError) as raised:
         call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsep import EmptyStartSet, ForeignNode, find_reachable
+from dsep import EmptyStartSet, ForeignNode, InvalidArgument, find_reachable
 
 
 def _always(first: int, second: int) -> bool:
@@ -119,6 +119,15 @@ class TestFindReachable:
         graph = _links(2, [(0, 1)])
         with pytest.raises(ForeignNode):
             find_reachable(graph, _always, {start})
+
+    def test_a_type_error_inside_legal_propagates(self):
+        def legal(first: int, second: int) -> bool:
+            raise TypeError("raised by legal itself")
+
+        graph = _links(3, [(0, 1), (1, 2)])
+        with pytest.raises(TypeError, match="raised by legal itself") as raised:
+            find_reachable(graph, legal, {0})
+        assert not isinstance(raised.value, InvalidArgument)
 
     def test_foreign_stop_rejected(self):
         graph = _links(2, [(0, 1)])
