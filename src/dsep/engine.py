@@ -231,6 +231,7 @@ _REACHED = bytes(bool(b & (8 | 16)) for b in range(256))
 _REACHED_UNCONDITIONED = bytes(b & (8 | 16) != 0 and not b & 4
                                for b in range(256))
 _PARENTS_WALKED = bytes(b >> 6 & 1 for b in range(256))
+_KEPT = object()    # the `stop_at` that reads the kept whole-graph sweep
 
 
 @dataclass(slots=True, eq=False)
@@ -299,10 +300,10 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     Without `stop_at`, the sweep is the whole-graph one, and the Dag
     keeps the last with its node sets in `dag._last_sweep`, replaced
     whole; nothing else reads or writes it.  The same sets again get a
-    copy of its marks, so `dsep_set_fast`, `requisite_parameters` and
-    `relevant_variables`, which read through here, sweep once for one
-    query.  On a graph of `_WIDE_NODES` nodes or more its wide queues go
-    to numpy, which marks and counts as the loop does, and
+    copy of its marks, or with `stop_at=_KEPT`, which `dsep_set_fast` and
+    the requisite read-offs pass, the kept sweep itself: they only
+    translate its marks.  On a graph of `_WIDE_NODES` nodes or more its
+    wide queues go to numpy, which marks and counts as the loop does, and
     `links_resolved` is 0.
 
     The sweep's whole state is one bytearray of n marks.  Bits of
@@ -315,7 +316,7 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
     """
     sources = checked_nodes(dag, query.sources)
     cond = checked_nodes(dag, query.conditioning)
-    if stop_at is not None:
+    if stop_at is not None and stop_at is not _KEPT:
         return next(_sweep(dag, sources, cond, checked_nodes(dag, stop_at)))
     last = dag._last_sweep
     if last is None or last[0] != sources or last[1] != cond:
@@ -323,7 +324,8 @@ def fast_sweep(dag: Dag, query: SeparationQuery,
         last = dag._last_sweep = sources, cond, next(side)
         next(side, None)    # a generator left suspended costs more to drop
     kept = last[2]
-    return FastSweep(kept.marks.copy(), kept.links_examined, 0)
+    return kept if stop_at is _KEPT else FastSweep(
+        kept.marks.copy(), kept.links_examined, 0)
 
 
 def _sweep(dag: Dag, sources: NodeSet, cond: NodeSet, stop: NodeSet | None,
@@ -576,7 +578,7 @@ def dsep_set_fast(dag: Dag, query: SeparationQuery) -> NodeSet:
     """Same value as `dsep_set` in O(node_count + edge_count): the nodes the
     whole-graph `fast_sweep`, which the Dag keeps, neither queued nor found
     conditioned (no mark bit 4, 8 or 16)."""
-    marks = fast_sweep(dag, query).marks
+    marks = fast_sweep(dag, query, _KEPT).marks
     return flagged_nodes(dag, marks.translate(_SEPARATED))
 
 

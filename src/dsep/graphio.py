@@ -20,6 +20,7 @@ import json
 import os
 import re
 from collections import Counter
+from itertools import chain
 from typing import NoReturn
 
 from .dag import Dag, _GcPaused, _NameIndex, build_dag
@@ -120,8 +121,9 @@ def _raise_first_error(lines: list[str], error: DsepError | None) -> NoReturn:
 
 
 def parse_graph_json(text: str) -> Dag:
-    """Parse the JSON variant, given as str or bytes; when "nodes"
-    is absent, edges declare names."""
+    """Parse the JSON variant, str or bytes; without "nodes", edges declare
+    names.  The lists map straight to ids, each check a C-level pass or part
+    of the mapping; a document failing one is reread to word its first error."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise InvalidArgument(
             f"JSON graph text must be a str or bytes, got {text!r:.60}")
@@ -135,25 +137,30 @@ def parse_graph_json(text: str) -> Dag:
             raise GraphSyntaxError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise GraphSyntaxError("top-level JSON value must be an object")
-        raw_edges = doc.get("edges", [])
-        if not isinstance(raw_edges, list):
+        edges = doc.get("edges", [])
+        try:    # an unhashable name, an unknown endpoint, an item no pair
+            names = (doc["nodes"] if "nodes" in doc
+                     else list(dict.fromkeys(chain.from_iterable(edges))))
+            ids = dict(zip(names, range(len(names))))
+            sound = (type(edges) is type(names) is list and len(ids) == len(names)
+                     and set(map(type, edges)) <= {list}   # no dict, no "ab"
+                     and set(map(type, names)) <= {str}
+                     and all(map(_NAME.match, names)))
+            pairs = [(ids[tail], ids[head]) for tail, head in edges] if sound else None
+        except (TypeError, KeyError, ValueError):
+            pairs = None
+        if pairs is not None:
+            return Dag(len(ids), pairs, names=_NameIndex(ids))
+        # Reread item by item, in the order that picks which fault wins.
+        if not isinstance(edges, list):
             raise GraphSyntaxError('"edges" must be a list of [tail, head] pairs')
-        edges: list[tuple[str, str]] = []
-        for item in raw_edges:
-            if (not isinstance(item, (list, tuple)) or len(item) != 2
-                    or not all(isinstance(e, str) for e in item)):
+        for item in edges:
+            if type(item) is not list or len(item) != 2 or set(map(type, item)) - {str}:
                 raise GraphSyntaxError(
-                    f'each edge must be a [tail, head] pair of strings, got '
-                    f'{item!r}')
-            edges.append((item[0], item[1]))
-        if "nodes" in doc:
-            raw_nodes = doc["nodes"]
-            if (not isinstance(raw_nodes, list)
-                    or not all(isinstance(n, str) for n in raw_nodes)):
-                raise GraphSyntaxError('"nodes" must be a list of strings')
-            names = list(raw_nodes)
-        else:
-            names = list(dict.fromkeys(name for edge in edges for name in edge))
+                    f"each edge must be a [tail, head] pair of strings, got {item!r}")
+        names = doc.get("nodes", list(dict.fromkeys(chain.from_iterable(edges))))
+        if type(names) is not list or set(map(type, names)) - {str}:
+            raise GraphSyntaxError('"nodes" must be a list of strings')
         for name in names:
             _check_name(name, None, None)
         try:

@@ -10,7 +10,7 @@ child of v while v is unconditioned.  Reaching v' opens no new state of
 the base dag.  This is the "top mark" of Shachter's Bayes-Ball (UAI
 1998), so each answer takes one linear sweep of the base dag.  Both
 answers are read off the whole-graph `fast_sweep`, which the Dag keeps,
-so the second of one query costs a copy of its marks.
+so the second of one query only translates its marks.
 `augment_dummies` still builds the augmented dag, as the tests' referee.
 """
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dag import Dag, NodeSet
-from .engine import (_REACHED_UNCONDITIONED, SeparationQuery, fast_sweep,
-                     flagged_nodes)
+from .engine import (_KEPT, _REACHED_UNCONDITIONED, SeparationQuery,
+                     fast_sweep, flagged_nodes)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def requisite_parameters(dag: Dag, query: SeparationQuery) -> NodeSet:
     to a node of An(sources | conditioning), so a sweep confined to that
     set (an empty stop set) walks the same lists.
     """
-    return flagged_nodes(dag, fast_sweep(dag, query).parents_expanded)
+    return flagged_nodes(dag, fast_sweep(dag, query, _KEPT).parents_expanded)
 
 
 def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:
@@ -71,7 +71,7 @@ def relevant_variables(dag: Dag, query: SeparationQuery) -> NodeSet:
     conditioning set themselves: the nodes the sweep reached and did not
     find conditioned.
     """
-    flags = fast_sweep(dag, query).marks.translate(_REACHED_UNCONDITIONED)
+    flags = fast_sweep(dag, query, _KEPT).marks.translate(_REACHED_UNCONDITIONED)
     for v in query.sources:
         flags[v] = 0
     return flagged_nodes(dag, flags)

@@ -16,6 +16,7 @@ from dsep.cli import main
 from .conftest import DATA_DIR
 
 WEB7 = str(DATA_DIR / "web7.txt")
+WEB7_JSON = str(DATA_DIR / "web7.json")
 DIAMOND4 = str(DATA_DIR / "diamond4.txt")
 
 
@@ -62,6 +63,14 @@ class TestCheckCommand:
         code = main(["check", WEB7, "--j", "n4", "--l", "n2", "--k", "n3"])
         assert code == 0
         assert capsys.readouterr().out == "HOLDS\n"
+
+    @pytest.mark.parametrize("l", ["n2", "n2,n6"])
+    def test_json_document_gives_the_text_documents_verdict(self, capsys, l):
+        args = ["--j", "n4", "--l", l, "--k", "n3"]
+        code = main(["check", WEB7_JSON, "--json", *args])
+        out = capsys.readouterr().out
+        assert (code, out) == (main(["check", WEB7, *args]),
+                               capsys.readouterr().out)
 
     def test_failing_statement_exits_one(self, capsys):
         code = main(["check", WEB7, "--j", "n4", "--l", "n2,n6",

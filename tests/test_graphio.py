@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dsep import (
     CycleDetected,
     Dag,
+    DsepError,
     DuplicateEdge,
     GraphSyntaxError,
     InvalidArgument,
@@ -216,6 +217,78 @@ class TestParseGraphJson:
         with pytest.raises(GraphSyntaxError):
             parse_graph_json(doc)
 
+    PAIR = "each edge must be a [tail, head] pair of strings, got "
+    PRIMED = "uses the prime character, which is reserved for dummy parameters"
+
+    @pytest.mark.parametrize("doc,error,message", [
+        ('{"edges": [{"a": "b"}]}', GraphSyntaxError, PAIR + "{'a': 'b'}"),
+        ('{"edges": ["ab"]}', GraphSyntaxError, PAIR + "'ab'"),
+        ('{"edges": [["a"]]}', GraphSyntaxError, PAIR + "['a']"),
+        ('{"edges": [["a", "b", "c"]]}', GraphSyntaxError,
+         PAIR + "['a', 'b', 'c']"),
+        ('{"edges": [["a", 3]]}', GraphSyntaxError, PAIR + "['a', 3]"),
+        ('{"edges": [["a", null]]}', GraphSyntaxError, PAIR + "['a', None]"),
+        ('{"edges": [["a", ["b"]]]}', GraphSyntaxError, PAIR + "['a', ['b']]"),
+        ('{"nodes": ["a", "b"], "edges": [["a", 3]]}', GraphSyntaxError,
+         PAIR + "['a', 3]"),
+        ('{"nodes": ["a", "b"], "edges": [["a", ["b"]]]}', GraphSyntaxError,
+         PAIR + "['a', ['b']]"),
+        ('{"edges": {"a": "b"}}', GraphSyntaxError,
+         '"edges" must be a list of [tail, head] pairs'),
+        ('{"edges": "ab"}', GraphSyntaxError,
+         '"edges" must be a list of [tail, head] pairs'),
+        ('{"edges": null}', GraphSyntaxError,
+         '"edges" must be a list of [tail, head] pairs'),
+        ('{"nodes": ["a", 1]}', GraphSyntaxError,
+         '"nodes" must be a list of strings'),
+        ('{"nodes": "ab"}', GraphSyntaxError,
+         '"nodes" must be a list of strings'),
+        ('{"nodes": null}', GraphSyntaxError,
+         '"nodes" must be a list of strings'),
+        ('{"nodes": ["b", "a\'"]}', GraphSyntaxError,
+         f'node name "a\'" {PRIMED}'),
+        ('{"nodes": ["b", "a-b"]}', GraphSyntaxError,
+         "invalid node name 'a-b' (allowed: letters, digits, '_')"),
+        ('{"nodes": [""]}', GraphSyntaxError,
+         "invalid node name '' (allowed: letters, digits, '_')"),
+        ('{"edges": [["a", "b\'"]]}', GraphSyntaxError,
+         f'node name "b\'" {PRIMED}'),
+        ('{"edges": [["a-b", "c"]]}', GraphSyntaxError,
+         "invalid node name 'a-b' (allowed: letters, digits, '_')"),
+        ('{"nodes": ["b", "a", "b"]}', GraphSyntaxError,
+         "\"nodes\" lists 'b' more than once"),
+        ('{"nodes": ["a", "b"], "edges": [["a", "c"]]}', UnknownEndpoint,
+         "unknown edge endpoint 'c'"),
+        ('{"nodes": ["a", "b"], "edges": [["c", "a"], ["a", "d"]]}',
+         UnknownEndpoint, "unknown edge endpoint 'c'"),
+        # Several faults: the first in the order of the item-by-item checks.
+        ('{"nodes": [1], "edges": [["a", "b"], "ab"]}', GraphSyntaxError,
+         PAIR + "'ab'"),
+        ('{"nodes": ["a", "x y"], "edges": [["a", 1]]}', GraphSyntaxError,
+         PAIR + "['a', 1]"),
+        ('{"nodes": ["a-b", "c\'"]}', GraphSyntaxError,
+         "invalid node name 'a-b' (allowed: letters, digits, '_')"),
+        ('{"nodes": ["a", "a"], "edges": [["a", "c"]]}', UnknownEndpoint,
+         "unknown edge endpoint 'c'"),
+        ('{"nodes": ["a", "a"], "edges": [["a", "a"]]}', GraphSyntaxError,
+         "\"nodes\" lists 'a' more than once"),
+        ('{"nodes": ["a", "b", "a\'"], "edges": [["a", "c"]]}',
+         GraphSyntaxError, f'node name "a\'" {PRIMED}'),
+        ('{"edges": [["a", "a"]]}', SelfLoop, "self-loop on node a"),
+        ('{"edges": [["a", "b"], ["a", "b"]]}', DuplicateEdge,
+         "duplicate edge a -> b"),
+        ('{"edges": [["a", "b"], ["b", "a"]]}', CycleDetected,
+         "graph contains a cycle: b -> a -> b"),
+        ('[]', GraphSyntaxError, "top-level JSON value must be an object"),
+    ])
+    def test_each_malformed_document_raises_its_exact_error(self, doc, error,
+                                                            message):
+        with pytest.raises(DsepError) as info:
+            parse_graph_json(doc)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.line is info.value.column is None
+
     @pytest.mark.parametrize("text", [None, 3, ["{}"], {"a"}],
                              ids=["None", "int", "list", "set"])
     def test_text_that_is_no_str_or_bytes_rejected(self, text):
@@ -243,6 +316,56 @@ class TestParseGraphJson:
         assert json_dag.edges == text_dag.edges
         assert [json_dag.node_name(v) for v in range(4)] == [
             text_dag.node_name(v) for v in range(4)]
+
+
+def _same_dag(got: Dag, want: Dag) -> None:
+    assert got.node_count == want.node_count
+    assert got.names == want.names
+    assert got.edges == want.edges
+    assert got.parents == want.parents
+    assert got.children == want.children
+    assert got._ranks == want._ranks
+
+
+@st.composite
+def json_graphs(draw: st.DrawFn):
+    """A named dag as JSON document parts: the edges in a drawn order, and
+    "nodes" in a drawn order or, drawn, left out, so that edges declare
+    the names and isolated nodes drop out.  Small dags get drawn names,
+    larger ones (128 nodes or more get ranks) shuffled `v<k>` names."""
+    dag = draw(st.one_of(
+        small_dags(),
+        st.builds(_named_dag, st.integers(1, 300), st.integers(0, 3),
+                  st.integers(0, 2 ** 32 - 1))))
+    n = dag.node_count
+    names = dag.names or draw(st.lists(
+        st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True),
+        min_size=n, max_size=n, unique=True))
+    edges = [[names[t], names[h]] for t, h in draw(st.permutations(dag.edges))]
+    if draw(st.booleans()):
+        nodes = draw(st.permutations(names))
+        return {"nodes": nodes, "edges": edges}, nodes, edges
+    return {"edges": edges}, list(dict.fromkeys(
+        name for edge in edges for name in edge)), edges
+
+
+class TestJsonLoadsTheSameDag:
+    """A JSON document loads to the `Dag` that `build_dag` makes of its
+    lists, and that `parse_graph` makes of its text rendering."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=json_graphs())
+    def test_json_build_dag_and_text_agree(self, graph):
+        doc, nodes, edges = graph
+        want = build_dag(nodes, [tuple(edge) for edge in edges])
+        _same_dag(parse_graph_json(json.dumps(doc)), want)
+        lines = [f"node {name}" for name in doc.get("nodes", ())]
+        lines += [f"{tail} -> {head}" for tail, head in edges]
+        _same_dag(parse_graph("\n".join(lines)), want)
+
+    def test_web7_fixture_loads_to_the_same_dag_as_its_text(self):
+        _same_dag(load_graph_file(str(DATA_DIR / "web7.json"), json_format=True),
+                  load_graph_file(str(DATA_DIR / "web7.txt")))
 
 
 class TestLoadGraphFile:
