@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, MutableSequence, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (CycleDetected, DuplicateEdge, ForeignNode, InvalidArgument,
                      InvalidQuery, SelfLoop, UnknownEndpoint)
@@ -130,7 +130,7 @@ class Dag:
             raise ForeignNode(f"graph has no node names, cannot resolve {name!r}")
         try:
             return self._name_to_id[name]
-        except KeyError:
+        except (KeyError, TypeError):   # unknown, or unhashable
             raise ForeignNode(f"unknown node name {name!r}") from None
 
     def has_edge(self, tail: int, head: int) -> bool:
@@ -228,16 +228,13 @@ def checked_nodes(dag: Dag, nodes: Iterable[int]) -> NodeSet:
     return members
 
 
-def mark_ancestors(dag: Dag, members: Iterable[int],
-                   marks: MutableSequence[int], bit: int = 1,
-                   tag: int = False) -> list[int]:
-    """Set `bit` in `marks` on valid ids `members` and all their ancestors,
-    and `tag` on the members alone.
+def mark_ancestors(dag: Dag, members: Iterable[int], marks: bytearray,
+                   bit: int = 1, tag: int = 0) -> list[int]:
+    """Set `bit` in the bytearray `marks` on valid ids `members` and all
+    their ancestors, and `tag` on the members alone.
 
     One reverse breadth-first walk that stops at nodes already holding
-    any bit of `bit`; returns the nodes it marked.  `marks` is a bytearray
-    or, with `bit=True` and no `tag`, a list of bools (cheaper on small
-    graphs; the default `tag` is False, not 0, as True | 0 is the int 1).
+    any bit of `bit`; returns the nodes it marked.
     """
     parents = dag.parents
     found = []
@@ -258,15 +255,15 @@ def mark_ancestors(dag: Dag, members: Iterable[int],
 
 def descendant_table(dag: Dag, conditioning: Iterable[int]) -> tuple[bool, ...]:
     """Per-node flags: is v in `conditioning`, or has it a descendant there?"""
-    flags = [False] * dag.node_count
-    mark_ancestors(dag, checked_nodes(dag, conditioning), flags, True)
-    return tuple(flags)
+    flags = bytearray(dag.node_count)
+    mark_ancestors(dag, checked_nodes(dag, conditioning), flags)
+    return tuple(map(bool, flags))
 
 
 def ancestral_set(dag: Dag, members: Iterable[int]) -> NodeSet:
     """All nodes with a directed path into `members`, plus `members` itself."""
     wanted = checked_nodes(dag, members)
-    return frozenset(mark_ancestors(dag, wanted, [False] * dag.node_count, True))
+    return frozenset(mark_ancestors(dag, wanted, bytearray(dag.node_count)))
 
 
 class DoubledGraph:

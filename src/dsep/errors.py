@@ -28,7 +28,11 @@ class CycleDetected(DsepError):
 
     def __init__(self, message: str, *, cycle: tuple[str, ...] = (),
                  line: int | None = None, column: int | None = None) -> None:
-        self.cycle = tuple(cycle)
+        try:
+            self.cycle = tuple(cycle)
+        except TypeError:   # no iterable
+            raise InvalidArgument(
+                f"cycle must be a sequence of names, got {cycle!r:.60}") from None
         super().__init__(message, line=line, column=column)
 
 

@@ -25,7 +25,7 @@ from typing import NoReturn
 
 from .dag import Dag, _GcPaused, _NameIndex, build_dag
 from .errors import (CycleDetected, DsepError, DuplicateEdge, GraphSyntaxError,
-                     InvalidArgument, SelfLoop)
+                     InvalidArgument, SelfLoop, UnknownEndpoint)
 
 _NODE_LINE = re.compile(r"^\s*node\s+(\S+)\s*$")
 _EDGE_LINE = re.compile(r"^\s*(\S+)\s*->\s*(\S+)\s*$")
@@ -122,8 +122,8 @@ def _raise_first_error(lines: list[str], error: DsepError | None) -> NoReturn:
 
 def parse_graph_json(text: str) -> Dag:
     """Parse the JSON variant, str or bytes; without "nodes", edges declare
-    names.  The lists map straight to ids, each check a C-level pass or part
-    of the mapping; a document failing one is reread to word its first error."""
+    names.  Lists that pass C-level bulk checks go to `build_dag`; a document
+    failing them or its mapping to ids is reread to word its first error."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise InvalidArgument(
             f"JSON graph text must be a str or bytes, got {text!r:.60}")
@@ -141,16 +141,13 @@ def parse_graph_json(text: str) -> Dag:
         try:    # an unhashable name, an unknown endpoint, an item no pair
             names = (doc["nodes"] if "nodes" in doc
                      else list(dict.fromkeys(chain.from_iterable(edges))))
-            ids = dict(zip(names, range(len(names))))
-            sound = (type(edges) is type(names) is list and len(ids) == len(names)
-                     and set(map(type, edges)) <= {list}   # no dict, no "ab"
-                     and set(map(type, names)) <= {str}
-                     and all(map(_NAME.match, names)))
-            pairs = [(ids[tail], ids[head]) for tail, head in edges] if sound else None
-        except (TypeError, KeyError, ValueError):
-            pairs = None
-        if pairs is not None:
-            return Dag(len(ids), pairs, names=_NameIndex(ids))
+            if (type(edges) is type(names) is list
+                    and set(map(type, edges)) <= {list}   # no dict, no "ab"
+                    and set(map(type, names)) <= {str}
+                    and all(map(_NAME.match, names))):
+                return build_dag(names, edges)
+        except (TypeError, UnknownEndpoint, InvalidArgument):
+            pass
         # Reread item by item, in the order that picks which fault wins.
         if not isinstance(edges, list):
             raise GraphSyntaxError('"edges" must be a list of [tail, head] pairs')
@@ -190,9 +187,11 @@ def load_graph_file(path: str, json_format: bool = False) -> Dag:
     name (str, bytes or path-like), never an open file descriptor."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidArgument(f"path must be a file name, got {path!r:.60}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise GraphSyntaxError(f"{os.fsdecode(path)}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphSyntaxError(f"{os.fsdecode(path)}: {exc}") from None
+    except ValueError as exc:   # a file name holding a NUL character
+        raise InvalidArgument(f"bad file name: {exc}") from None
     return parse_graph_json(text) if json_format else parse_graph(text)

@@ -41,9 +41,9 @@ def _restricted_graph(dag: Dag, statement: IndependenceStatement
     full rule marries besides: one construction serves both rules."""
     cond = checked_nodes(dag, statement.conditioning)
     ends = checked_nodes(dag, statement.sources | statement.targets)
-    marks = [False] * dag.node_count
-    conditioned = mark_ancestors(dag, cond, marks, True)        # An(Z)
-    anc = frozenset(conditioned + mark_ancestors(dag, ends, marks, True))
+    marks = bytearray(dag.node_count)
+    conditioned = mark_ancestors(dag, cond, marks)          # An(Z)
+    anc = frozenset(conditioned + mark_ancestors(dag, ends, marks))
     conditioned = frozenset(conditioned)
 
     # The ancestral set is closed under parents, so its edges are its

@@ -144,27 +144,45 @@ class DiscreteNetwork:
 
     def __post_init__(self) -> None:
         import numpy as np
-        object.__setattr__(self, "arities", tuple(self.arities))
-        object.__setattr__(self, "cpts", tuple(self.cpts))
+        object.__setattr__(self, "arities", _checked_tuple(self.arities, "arities"))
+        object.__setattr__(self, "cpts", _checked_tuple(self.cpts, "cpts"))
         n = self.dag.node_count
         if len(self.arities) != n or len(self.cpts) != n:
             raise InvalidArgument("need one arity and one table per node")
-        if any(a < 2 for a in self.arities):
-            raise InvalidArgument("arity must be at least 2 for every node")
+        if any(type(a) is not int or a < 2 for a in self.arities):
+            raise InvalidArgument("arity must be an int of at least 2 for every node")
         for v in range(n):
             expected = tuple(self.arities[p] for p in self.dag.parents[v])
             expected += (self.arities[v],)
-            cpt = self.cpts[v]
+            cpt = _checked_array(self.cpts[v], f"table for node {v}")
             if cpt.shape != expected:
                 raise InvalidArgument(
                     f"table for node {v} has shape {cpt.shape}, "
                     f"expected {expected}")
-            if np.any(cpt < 0.0) or np.any(cpt > 1.0):
+            if not (np.all(cpt >= 0.0) and np.all(cpt <= 1.0)):   # or is NaN
                 raise InvalidArgument(f"table for node {v} leaves [0, 1]")
             sums = cpt.sum(axis=-1)
             if np.max(np.abs(sums - 1.0)) > CPT_SUM_TOL:
                 raise InvalidArgument(
                     f"table for node {v} has rows not summing to 1")
+
+
+def _checked_tuple(values: Iterable, what: str) -> tuple:
+    """`values` as a tuple, if it is an iterable."""
+    try:
+        return tuple(values)
+    except TypeError:   # no iterable
+        raise InvalidArgument(f"{what} must be a sequence, got {values!r:.60}"
+                              ) from None
+
+
+def _checked_array(values: np.ndarray, what: str) -> np.ndarray:
+    """`values` if it is a numpy array of real numbers."""
+    import numpy as np
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "fiu":
+        raise InvalidArgument(
+            f"{what} must be a numpy array of real numbers, got {values!r:.60}")
+    return values
 
 
 def _check_joint_size(arities: Sequence[int]) -> None:
@@ -206,18 +224,25 @@ class JointTable:
 
     def __post_init__(self) -> None:
         import numpy as np
-        object.__setattr__(self, "arities", tuple(self.arities))
-        if self.probs.shape != self.arities:
+        arities = _checked_tuple(self.arities, "arities")
+        probs = _checked_array(self.probs, "joint table")
+        if probs.shape != arities:
             raise InvalidArgument(
-                f"table shape {self.probs.shape} does not match arities "
-                f"{self.arities}")
-        if np.any(self.probs < 0.0):
-            raise InvalidArgument("joint table has negative entries")
-        if abs(float(self.probs.sum()) - 1.0) > JOINT_MASS_TOL:
+                f"table shape {probs.shape} does not match arities {arities}")
+        object.__setattr__(self, "arities", probs.shape)    # ints, as matched
+        if not np.all(probs >= 0.0):
+            raise InvalidArgument("joint table has negative or NaN entries")
+        if not abs(float(probs.sum()) - 1.0) <= JOINT_MASS_TOL:
             raise InvalidArgument("joint table mass is not 1")
 
     def probability(self, assignment: Sequence[int]) -> float:
-        return float(self.probs[tuple(assignment)])
+        """P(every variable takes its value in `assignment`, one int each)."""
+        key = _checked_tuple(assignment, "assignment")
+        if len(key) != len(self.arities) or not all(
+                type(x) is int and 0 <= x < a for x, a in zip(key, self.arities)):
+            raise InvalidArgument(f"assignment {key!r:.60} gives no value in "
+                                  f"range to each of the arities {self.arities}")
+        return float(self.probs[key])
 
 
 def joint(network: DiscreteNetwork) -> JointTable:

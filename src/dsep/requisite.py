@@ -36,6 +36,7 @@ class AugmentedDag:
     dummy_of: dict[int, int]
 
     def is_dummy(self, node: int) -> bool:
+        self.graph.node_name(node)  # ForeignNode unless an id of `graph`
         return node >= self.base.node_count
 
 

@@ -124,9 +124,11 @@ class TestDagConstruction:
         with pytest.raises(UnknownEndpoint, match="pairs"):
             Dag(3, edges)
 
-    def test_node_id_unknown_name(self, web7):
+    @pytest.mark.parametrize("name", ["nope", ["n1"], None],
+                             ids=["unknown", "unhashable", "None"])
+    def test_node_id_unknown_name(self, web7, name):
         with pytest.raises(ForeignNode):
-            web7.node_id("nope")
+            web7.node_id(name)
 
     def test_build_dag_rejects_duplicate_names(self):
         with pytest.raises(ValueError):
@@ -209,6 +211,7 @@ class TestDescendantTable:
         table = descendant_table(web7, ids(web7, "n6"))
         flagged = {web7.node_name(v) for v in range(7) if table[v]}
         assert flagged == {"n1", "n2", "n3", "n4", "n5", "n6"}
+        assert type(table) is tuple and {type(f) for f in table} == {bool}
 
     def test_empty_conditioning_flags_nothing(self, web7):
         table = descendant_table(web7, frozenset())
@@ -243,12 +246,6 @@ class TestMarkAncestors:
         found = mark_ancestors(dag, {2, 3}, marks, 2, 128)
         assert found == [2, 1, 0]
         assert list(marks) == [2, 2, 2 | 128, 2 | 128]
-
-    def test_bool_marks_stay_bools(self):
-        flags = [False] * 3
-        mark_ancestors(Dag(3, [(0, 1)]), {1}, flags, True)
-        assert flags == [True, True, False]
-        assert all(type(f) is bool for f in flags)
 
 
 class TestAncestralSet:

@@ -251,10 +251,12 @@ class TestDiscreteNetwork:
         with pytest.raises(ValueError):
             DiscreteNetwork(dag, (2,), (np.array([0.4, 0.7]),))
 
-    def test_probabilities_must_stay_in_unit_interval(self):
+    @pytest.mark.parametrize("row", [[-0.1, 1.1], [np.nan, 1.0]],
+                             ids=["outside", "nan"])
+    def test_probabilities_must_stay_in_unit_interval(self, row):
         dag = Dag(1, [])
         with pytest.raises(ValueError):
-            DiscreteNetwork(dag, (2,), (np.array([-0.1, 1.1]),))
+            DiscreteNetwork(dag, (2,), (np.array(row),))
 
     def test_arity_floor(self):
         dag = Dag(1, [])
@@ -316,10 +318,12 @@ class TestJointTable:
         table = joint(random_network(dag, 2, seed=5))
         assert float(table.probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_mass_validation(self):
+    @pytest.mark.parametrize("probs", [[0.5, 0.4], [np.nan, 1.0], [np.nan, np.nan]],
+                             ids=["short", "nan", "all-nan"])
+    def test_mass_validation(self, probs):
         with pytest.raises(ValueError):
             from dsep import JointTable
-            JointTable(np.array([0.5, 0.4]), (2,))
+            JointTable(np.array(probs), (2,))
 
 
 class TestCiChecks:

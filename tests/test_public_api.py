@@ -8,10 +8,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsep
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 PUBLIC = (
     "AgreementReport", "AugmentedDag", "BenchReport", "BenchRow",
@@ -123,8 +126,12 @@ def test_public_signatures_are_pinned():
     assert signatures == SIGNATURES
 
 
+def _network() -> dsep.DiscreteNetwork:
+    return dsep.random_network(dsep.chain_dag(2), 2, 1)
+
+
 def _joint_table() -> dsep.JointTable:
-    return dsep.joint(dsep.random_network(dsep.chain_dag(2), 2, 1))
+    return dsep.joint(_network())
 
 
 @pytest.mark.parametrize("call", [
@@ -165,6 +172,15 @@ def _joint_table() -> dsep.JointTable:
                                 {0}),
     lambda: dsep.find_reachable(dsep.doubled_graph(dsep.chain_dag(3)),
                                 lambda a: True, {0}),
+    lambda: dsep.JointTable([[.25, .25], [.25, .25]], (2, 2)),
+    lambda: dsep.JointTable(_joint_table().probs, None),
+    *(lambda arities=arities: dsep.DiscreteNetwork(
+        _network().dag, arities, _network().cpts) for arities in (5, (2, 2, None))),
+    lambda: dsep.DiscreteNetwork(_network().dag, _network().arities, [1, 2, 3]),
+    *(lambda key=key: _joint_table().probability(key)
+      for key in ((0,), (5, 5, 5), (-1, 0, 0), None)),
+    lambda: dsep.CycleDetected("message", cycle=None),
+    lambda: dsep.load_graph_file("a\0b"),
 ], ids=["build_dag-names", "build_dag-no-names", "Dag-names", "chain_dag",
         "star_dag", "random_sparse_dag", "random_dag", "corpus_dag",
         "random_dag-edge_prob", "random_sparse_dag-seed", "ci_holds-tol",
@@ -180,7 +196,12 @@ def _joint_table() -> dsep.JointTable:
         "max_ci_violation-first-None", "max_ci_violation-second-unhashable",
         "max_ci_violation-conditioning-int", "random_dag-edge_prob-above-1",
         "random_dag-edge_prob-negative", "random_dag-edge_prob-nan",
-        "find_reachable-legal", "find_reachable-legal-arity"])
+        "find_reachable-legal", "find_reachable-legal-arity",
+        "JointTable-probs-list", "JointTable-arities-None",
+        "DiscreteNetwork-arities-int", "DiscreteNetwork-arities-None",
+        "DiscreteNetwork-cpts-ints", "probability-short",
+        "probability-out-of-range", "probability-negative", "probability-None",
+        "CycleDetected-cycle", "load_graph_file-nul"])
 def test_arguments_of_the_wrong_type_raise_a_dsep_value_error(call):
     with pytest.raises(dsep.DsepError) as raised:
         call()
@@ -229,3 +250,89 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"dsep.{module}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"dsep.{module}.{attr}"
+
+
+# Where an object of a package class belongs (a Dag, a doubled graph, a
+# query, a statement, a table, a network or a trail), another object is
+# outside the error contract (README), so the fuzz draws none there.
+OBJECT_PARAMETERS = {"dag", "base", "graph", "query", "statement", "table",
+                     "network", "trail"}
+FUZZED = [(name, param) for name, params in SIGNATURES.items()
+          for param in params if param not in OBJECT_PARAMETERS]
+
+_SMALL_INTS = st.integers(-3, 3)   # a huge size allocates or runs without end
+BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), _SMALL_INTS,
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 2.5]),
+    st.text(max_size=3), st.binary(max_size=3),
+    st.frozensets(st.integers(-3, 50), max_size=3),     # foreign ids
+    st.lists(st.none() | st.booleans() | _SMALL_INTS | st.text(max_size=2),
+             max_size=3),
+    st.lists(st.lists(_SMALL_INTS, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=1), _SMALL_INTS, max_size=2),
+)
+
+
+def _sound_calls() -> dict[str, tuple]:
+    """Arguments, in signature order, of a call of each fuzzed callable
+    that returns; a parameter left out takes its default."""
+    dag = dsep.chain_dag(2)
+    network = dsep.random_network(dsep.chain_dag(1), 2, 1)
+    table = dsep.joint(network)
+    statement = dsep.IndependenceStatement({0}, {1}, {2})
+    errors = {name: ("message",) for name, params in SIGNATURES.items()
+              if params == _ERROR}
+    return errors | {
+        "AgreementReport": (),
+        "AugmentedDag": (dag, dsep.augment_dummies(dag).graph, {}),
+        "BenchReport": ((),),
+        "BenchRow": ("chain", 3, 2, "fast", 0.5, 1, 4),
+        "CycleDetected": ("message", ("a", "b")),
+        "Dag": (3, [(0, 1), (1, 2)], ["a", "b", "c"]),
+        "DiscreteNetwork": (network.dag, network.arities, network.cpts),
+        "IndependenceStatement": ({0}, {1}, {2}),
+        "JointTable": (table.probs, table.arities),
+        "ReachabilityResult": (frozenset(), ()),
+        "SeparationQuery": ({0}, {1}),
+        "Theorem2Report": ((), 1, 0.0),
+        "Trail": ((0, 1), ((0, 1),)),
+        "ancestral_set": (dag, {1}),
+        "audit_random_corpus": (3, 1, 1),
+        "build_dag": (["a", "b"], [("a", "b")]),
+        "chain_dag": (2,),
+        "check_theorem2": (dag, 1, 1),
+        "ci_holds": (table, {0}, {1}),
+        "corpus_dag": (random.Random(1), 3),
+        "descendant_table": (dag, {1}),
+        "enumerate_simple_trails": (dag, 0, 2),
+        "fast_sweep": (dag, dsep.SeparationQuery({0}, {1})),
+        "find_reachable": (dsep.doubled_graph(dag), lambda a, b: True, {0}),
+        "is_active_trail": (dag, dsep.Trail((0, 1), ((0, 1),)), ()),
+        "is_dseparated": (dag, statement),
+        "load_graph_file": (str(ROOT / "tests" / "data" / "web7.txt"),),
+        "max_ci_violation": (table, {0}, {1}),
+        "moral_check": (dag, statement),
+        "moralize": (dag, statement),
+        "parse_graph": ("a -> b",),
+        "parse_graph_json": ('{"edges": [["a", "b"]]}',),
+        "random_dag": (random.Random(1), 3),
+        "random_network": (dag, 2, 1),
+        "random_sparse_dag": (10, 1),
+        "run_bench": ("random", [10]),
+        "star_dag": (2,),
+    }
+
+
+@pytest.mark.parametrize("name, param", FUZZED,
+                         ids=[f"{name}-{param}" for name, param in FUZZED])
+@settings(max_examples=20, deadline=None)
+@given(bad=BAD_VALUES)
+def test_a_bad_argument_returns_or_raises_a_dsep_error(name, param, bad):
+    arguments = dict(zip(SIGNATURES[name], _sound_calls()[name]))
+    arguments[param] = bad
+    try:
+        getattr(dsep, name)(**arguments)
+    except dsep.DsepError:
+        pass
+    except OSError:     # a file name that names no readable file
+        assert (name, param) == ("load_graph_file", "path")

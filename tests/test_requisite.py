@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from dsep import (
     Dag,
+    ForeignNode,
     SeparationQuery,
     augment_dummies,
     build_dag,
@@ -60,6 +61,12 @@ class TestAugmentation:
         aug = augment_dummies(diamond4)
         for tail, head in diamond4.edges:
             assert aug.graph.has_edge(tail, head)
+
+    @pytest.mark.parametrize("node", [8, 10**9, -1, "x", [0], True])
+    def test_is_dummy_rejects_what_is_no_id_of_the_augmented_graph(
+            self, diamond4, node):
+        with pytest.raises(ForeignNode):
+            augment_dummies(diamond4).is_dummy(node)
 
     def test_unnamed_graphs_get_no_names(self):
         from dsep import Dag
